@@ -132,13 +132,12 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
         raise ValueError("temperature index outside [0, R]")
     p_cap = float(p.sum())
     bins = cfg.resolution + 1
-    on = n.astype(bool)
-    w1 = np.bincount(m[on], weights=p[on], minlength=bins)
-    w0 = np.bincount(m[~on], weights=p[~on], minlength=bins)
-    norm = p_cap * cfg.grid_step
+    # one histogram over [off bins | on bins]; each bin still sums in unit order
+    w = np.bincount((n != 0) * bins + m, weights=p, minlength=2 * bins)
+    w /= p_cap * cfg.grid_step
     return PowerDensityPair(
-        phi0=w0 / norm,
-        phi1=w1 / norm,
+        phi0=w[:bins],
+        phi1=w[bins:],
         grid_step=cfg.grid_step,
         installed_capacity=p_cap,
     )

@@ -24,6 +24,7 @@ __all__ = [
     "BuildingState",
     "step_thermal",
     "electrical_power",
+    "thermal_constants",
     "thermal_step",
     "duty_cycle",
 ]
@@ -82,16 +83,21 @@ class BuildingState:
             raise ValueError(f"machine_state must be 0 or 1, got {self.machine_state!r}")
 
 
-def thermal_step(theta_a, machine_state, capacitance, resistance, rated_power,
-                 cop, outdoor_temp, dt, noise=0.0):
+def thermal_constants(capacitance, resistance, rated_power, cop, dt):
+    """Run constants of the exact step: decay exp(-dt/(C*R_th)) and lift cop*P_h*R_th,
+    the equilibrium rise with the pump on. Scalars or aligned arrays."""
+    return np.exp(-dt / (capacitance * resistance)), cop * rated_power * resistance
+
+
+def thermal_step(theta_a, machine_state, decay, lift, outdoor_temp, noise=0.0):
     """Exact-exponential one-interval update; works on scalars or aligned arrays.
 
-    Returns the new indoor temperature(s); machine_state is read, never written.
-    dt in hours, noise in degC added after the deterministic step.
+    decay and lift come from thermal_constants. Returns the new indoor
+    temperature(s); machine_state (0 or 1) is read, never written. noise in
+    degC is added after the deterministic step.
     """
-    tau = capacitance * resistance
-    theta_eq = outdoor_temp + machine_state * cop * rated_power * resistance
-    return theta_eq + (theta_a - theta_eq) * np.exp(-dt / tau) + noise
+    theta_eq = outdoor_temp + machine_state * lift
+    return theta_eq + (theta_a - theta_eq) * decay + noise
 
 
 def step_thermal(state: BuildingState, params: BuildingParams, outdoor_temp: float,
@@ -104,19 +110,10 @@ def step_thermal(state: BuildingState, params: BuildingParams, outdoor_temp: flo
             raise ValueError(f"{name} must be finite, got {value!r}")
     if dt <= 0.0:
         raise ValueError(f"dt must be > 0, got {dt!r}")
-    return float(
-        thermal_step(
-            state.indoor_temp,
-            state.machine_state,
-            params.capacitance,
-            params.resistance,
-            params.rated_power,
-            params.cop,
-            outdoor_temp,
-            dt,
-            process_noise,
-        )
-    )
+    decay, lift = thermal_constants(params.capacitance, params.resistance,
+                                    params.rated_power, params.cop, dt)
+    return float(thermal_step(state.indoor_temp, state.machine_state, decay, lift,
+                              outdoor_temp, process_noise))
 
 
 def electrical_power(state: BuildingState, params: BuildingParams) -> float:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aggregator
-from .building import BuildingParams, BuildingState, thermal_step
+from .building import BuildingParams, BuildingState, thermal_constants, thermal_step
 from .errors import EngineError
 from .scenarios import IntervalContext
 from .thermostat import ThermostatConfig, hysteresis_update, quantize
@@ -372,6 +372,12 @@ class Simulation:
         self._load_history: list[float] = []
         self._prev_switched = np.zeros(len(population), dtype=bool)
         self._records: list[_Record] = []
+        # per-run constants: the fleet's parameters never change during a run
+        self._decay, self._lift = thermal_constants(
+            population.capacitance, population.resistance, population.rated_power,
+            population.cop, clock.dt_hours)
+        self._installed_capacity = population.installed_capacity
+        self._max_rated_power = float(population.rated_power.max())
         scenario.prepare(clock.horizon, clock.dt_minutes, self.rng_scenario)
 
     def run_interval(self) -> _Record:
@@ -386,10 +392,14 @@ class Simulation:
             noise = self.rng_noise.normal(0.0, pop.process_noise_sd, len(pop))
         else:
             noise = 0.0
-        pop.indoor_temp = thermal_step(
-            pop.indoor_temp, pop.machine_state, pop.capacitance, pop.resistance,
-            pop.rated_power, pop.cop, outdoor, self.clock.dt_hours, noise,
-        )
+        pop.indoor_temp = thermal_step(pop.indoor_temp, pop.machine_state,
+                                       self._decay, self._lift, outdoor, noise)
+        min_theta = float(pop.indoor_temp.min())
+        max_theta = float(pop.indoor_temp.max())
+        if not (math.isfinite(min_theta) and math.isfinite(max_theta)):
+            unit = int(np.flatnonzero(~np.isfinite(pop.indoor_temp))[0])
+            raise EngineError(f"interval {k}: indoor temperature of unit {unit} "
+                              f"is {pop.indoor_temp[unit]!r}")
 
         # (2) quantized power-state reports
         m = quantize(pop.indoor_temp, cfg)
@@ -408,7 +418,7 @@ class Simulation:
             phi_now=phi_now,
             phi_hold=phi_hold,
             region=region,
-            installed_capacity=pop.installed_capacity,
+            installed_capacity=self._installed_capacity,
             rng=self.rng_scenario,
             nominal_next_kw=float(self.scenario.nominal_kw[k]),
             wind_next_kw=float(self.scenario.wind_kw[k]),
@@ -429,20 +439,20 @@ class Simulation:
         pop.machine_state = n_new
 
         # (7) realized aggregate and bookkeeping
-        phi_realized = float(pop.rated_power[n_new.astype(bool)].sum()
-                             / pop.installed_capacity)
+        phi_realized = float(np.compress(n_new.view(bool), pop.rated_power).sum()
+                             / self._installed_capacity)
         if abs(phi_realized - decision.phi_predicted) > 1e-9:
             raise EngineError(
                 f"interval {k}: realized capacity factor {phi_realized!r} "
                 f"deviates from prediction {decision.phi_predicted!r}"
             )
-        heatpump_kw = pop.installed_capacity * phi_realized
+        heatpump_kw = self._installed_capacity * phi_realized
         nominal_kw = float(self.scenario.nominal_kw[k])
         wind_kw = float(self.scenario.wind_kw[k])
         total = nominal_kw + heatpump_kw - wind_kw
         self._load_history.append(total)
 
-        floor = (pop.rated_power.max() / pop.installed_capacity
+        floor = (self._max_rated_power / self._installed_capacity
                  + aggregator.max_cff_increment(pddf, cfg))
         record = _Record(
             nominal_kw=nominal_kw,
@@ -458,10 +468,10 @@ class Simulation:
             phi_predicted=decision.phi_predicted,
             quantization_floor=float(floor),
             controlled=controlled,
-            min_theta=float(pop.indoor_temp.min()),
-            max_theta=float(pop.indoor_temp.max()),
-            switch_count=int(switched.sum()),
-            rapid_cycle_count=int((switched & self._prev_switched).sum()),
+            min_theta=min_theta,
+            max_theta=max_theta,
+            switch_count=int(np.count_nonzero(switched)),
+            rapid_cycle_count=int(np.count_nonzero(switched & self._prev_switched)),
             ms_star=decision.ms_star,
         )
         self._records.append(record)
@@ -509,8 +519,8 @@ class Simulation:
             switch_count=col("switch_count", dtype=np.int64),
             rapid_cycle_count=col("rapid_cycle_count", dtype=np.int64),
             ms_star=col("ms_star", dtype=np.int64),
-            installed_capacity=pop.installed_capacity,
-            max_rated_power=float(pop.rated_power.max()),
+            installed_capacity=self._installed_capacity,
+            max_rated_power=self._max_rated_power,
             population_size=len(pop),
             setpoint=pop.thermostat.setpoint,
             deadband=pop.thermostat.deadband,

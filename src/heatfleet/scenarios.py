@@ -168,6 +168,10 @@ class TrackingTarget:
             raise ValueError(f"coefficient must be in [0, 1), got {coefficient!r}")
         self.coefficient = coefficient
         self.scale = scale
+        self.reset()
+
+    def reset(self) -> None:
+        """Return the AR(1) state to its start value, zero."""
         self._z = 0.0
 
     def update(self, phi_steady: float, rng_draw: float,
@@ -292,6 +296,9 @@ class TrackingScenario:
         self._steady: float | None = phi_steady
 
     def prepare(self, horizon: int, dt_minutes: float, rng: np.random.Generator) -> None:
+        # start every run from the constructor's state, so runs do not leak into each other
+        self._steady = self.phi_steady
+        self._signal.reset()
         n = horizon + 1
         self.outdoor_c = np.full(n, self.outdoor_temp_value)
         self.nominal_kw = np.zeros(n)

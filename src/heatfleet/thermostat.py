@@ -100,9 +100,13 @@ def quantize(theta_a, cfg: ThermostatConfig):
     Rounding is half away from zero (symmetric about the setpoint);
     out-of-range temperatures saturate at the grid ends.
     """
-    x = (np.asarray(theta_a, dtype=float) - cfg.setpoint + cfg.deadband) / cfg.grid_step
-    m = np.where(x >= 0.0, np.floor(x + 0.5), np.ceil(x - 0.5))
-    m = np.clip(m, 0, cfg.resolution).astype(np.int64)
+    x = np.array(theta_a, dtype=float)  # a private buffer, so every step is in place
+    x -= cfg.setpoint
+    x += cfg.deadband
+    x /= cfg.grid_step
+    # floor(x + 0.5) is half away from zero for x >= 0; every x < 0 clamps to 0
+    x += 0.5
+    m = np.clip(np.floor(x, out=x), 0, cfg.resolution, out=x).astype(np.int64)
     return int(m) if np.ndim(theta_a) == 0 else m
 
 
@@ -127,8 +131,8 @@ def hysteresis_update(n, m, m_s: int, cfg: ThermostatConfig):
     lower = m_s - cfg.switch_offset
     upper = m_s + cfg.switch_offset
     m_arr = np.asarray(m)
-    n_new = np.where(m_arr <= lower, 1, np.where(m_arr >= upper, 0, n))
-    return int(n_new) if np.ndim(m) == 0 else n_new.astype(np.int8)
+    n_new = ((m_arr <= lower) | ((m_arr < upper) & (np.asarray(n) != 0))).view(np.int8)
+    return int(n_new) if np.ndim(m) == 0 else n_new
 
 
 def report_power_state(state: BuildingState, params: BuildingParams,

@@ -1,5 +1,7 @@
 """Engine tests: population generation, interval protocol, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,20 @@ class TestRunInterval:
         with pytest.raises(EngineError, match="interval 3"):
             run_simulation(spec, ExplodingScenario(), SimulationClock(1.0, 10))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_temperature_fails_at_the_thermal_step(self, bad):
+        pop = generate_population(PopulationSpec(count=50, seed=34))
+        sim = Simulation(pop, TrackingScenario(burn_in=0), SimulationClock(1.0, 10),
+                         noise_seed=3, scenario_seed=4)
+        for _ in range(3):
+            sim.run_interval()
+        pop.indoor_temp[[7, 31]] = bad
+        # raised before quantize, whose int cast would warn on a NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EngineError, match=r"^interval 3: indoor temperature of unit 7 "):
+                sim.run()
+
 
 class TestRunSimulation:
     def test_zero_horizon_empty_series(self):
@@ -204,6 +220,19 @@ class TestRunSimulation:
         for name in ("phi", "phi_target", "u", "total_kw", "mean_theta",
                      "phi_min", "phi_max"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @pytest.mark.parametrize("phi_steady", [None, 0.45])
+    def test_tracking_scenario_instance_reruns_identically(self, phi_steady):
+        spec = PopulationSpec(count=100, seed=56)
+        clock = SimulationClock(1.0, 120)
+        scenario = TrackingScenario(burn_in=20, phi_steady=phi_steady)
+        first = run_simulation(spec, scenario, clock)
+        second = run_simulation(spec, scenario, clock)
+        fresh = run_simulation(spec, TrackingScenario(burn_in=20, phi_steady=phi_steady),
+                               clock)
+        assert np.array_equal(first.phi_target, second.phi_target)
+        assert np.array_equal(second.phi_target, fresh.phi_target)
+        assert np.array_equal(second.phi, fresh.phi)
 
     def test_total_load_identity_every_interval(self):
         spec = PopulationSpec(count=100, seed=52)

@@ -1,0 +1,173 @@
+"""Bitwise equivalence of the interval-loop kernels with their reference formulas.
+
+Each oracle below is the straightforward form of a kernel: per-interval
+constants recomputed, boolean-mask copies, nested selects. The kernels in
+``src/`` must produce the same bits for every input, so the golden bundles
+cannot move when a kernel is rewritten for speed.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from heatfleet.aggregator import build_pddf_from_arrays
+from heatfleet.building import thermal_constants, thermal_step
+from heatfleet.thermostat import ThermostatConfig, hysteresis_update, quantize
+
+SETTINGS = settings(max_examples=200, deadline=None)
+
+
+def quantize_oracle(theta, cfg):
+    x = (np.asarray(theta, dtype=float) - cfg.setpoint + cfg.deadband) / cfg.grid_step
+    m = np.where(x >= 0.0, np.floor(x + 0.5), np.ceil(x - 0.5))
+    return np.clip(m, 0, cfg.resolution).astype(np.int64)
+
+
+def hysteresis_oracle(n, m, m_s, cfg):
+    lower = m_s - cfg.switch_offset
+    upper = m_s + cfg.switch_offset
+    return np.where(m <= lower, 1, np.where(m >= upper, 0, n)).astype(np.int8)
+
+
+def pddf_oracle(n, m, p, cfg):
+    bins = cfg.resolution + 1
+    on = n.astype(bool)
+    w1 = np.bincount(m[on], weights=p[on], minlength=bins)
+    w0 = np.bincount(m[~on], weights=p[~on], minlength=bins)
+    norm = float(p.sum()) * cfg.grid_step
+    return w0 / norm, w1 / norm
+
+
+def thermal_oracle(theta, n, capacitance, resistance, rated_power, cop,
+                   outdoor, dt, noise):
+    tau = capacitance * resistance
+    theta_eq = outdoor + n * cop * rated_power * resistance
+    return theta_eq + (theta - theta_eq) * np.exp(-dt / tau) + noise
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+resolutions = st.integers(1, 256).map(lambda k: 8 * k)
+
+
+@st.composite
+def thermostats(draw):
+    resolution = draw(resolutions)
+    # deadband R/2 gives grid step 1.0, so x = theta - setpoint + deadband
+    # hits exact .5 ties and signed zeros without rounding
+    deadband = draw(st.sampled_from([1.0, 0.5, 3.7, resolution / 2.0]))
+    setpoint = draw(st.sampled_from([20.0, 0.0, -4.25]))
+    return ThermostatConfig(setpoint, deadband, resolution)
+
+
+@st.composite
+def temperatures(draw, cfg):
+    ties = st.integers(-cfg.resolution - 3, cfg.resolution + 3).map(
+        lambda k: cfg.setpoint - cfg.deadband + (k + 0.5) * cfg.grid_step)
+    edges = st.sampled_from([0.0, -0.0, cfg.setpoint - cfg.deadband,
+                             -(cfg.setpoint - cfg.deadband), cfg.setpoint,
+                             cfg.setpoint + cfg.deadband, np.inf, -np.inf, np.nan])
+    near = st.floats(cfg.setpoint - 3 * cfg.deadband, cfg.setpoint + 3 * cfg.deadband)
+    anything = st.floats(allow_nan=True, allow_infinity=True)
+    values = draw(st.lists(st.one_of(ties, edges, near, anything), min_size=1, max_size=64))
+    return np.array(values, dtype=float)
+
+
+@SETTINGS
+@given(st.data())
+def test_quantize_matches_where_floor_ceil_oracle(data):
+    cfg = data.draw(thermostats())
+    theta = data.draw(temperatures(cfg))
+    # huge inputs overflow to inf and NaN casts to int the same way on both sides
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = quantize_oracle(theta, cfg)
+        assert same_bits(quantize(theta, cfg), expected)
+        for value, m in zip(theta, expected):
+            assert quantize(float(value), cfg) == int(m)
+
+
+@SETTINGS
+@given(st.data())
+def test_hysteresis_vector_matches_scalar_and_oracle(data):
+    cfg = ThermostatConfig(resolution=data.draw(resolutions))
+    size = data.draw(st.integers(1, 64))
+    m = np.array(data.draw(st.lists(st.integers(0, cfg.resolution),
+                                    min_size=size, max_size=size)), dtype=np.int64)
+    n = np.array(data.draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)),
+                 dtype=np.int8)
+    m_s = data.draw(st.integers(cfg.ms_min, cfg.ms_max))
+    out = hysteresis_update(n, m, m_s, cfg)
+    assert same_bits(out, hysteresis_oracle(n, m, m_s, cfg))
+    assert [hysteresis_update(int(a), int(b), m_s, cfg) for a, b in zip(n, m)] == out.tolist()
+
+
+@st.composite
+def fleets(draw):
+    cfg = ThermostatConfig(resolution=draw(resolutions))
+    size = draw(st.integers(1, 200))
+    kind = draw(st.sampled_from(["mixed", "all_on", "all_off"]))
+    if kind == "mixed":
+        n = draw(hnp.arrays(np.int8, size, elements=st.integers(0, 1)))
+    else:
+        n = np.full(size, int(kind == "all_on"), dtype=np.int8)
+    if draw(st.booleans()):
+        m = np.full(size, draw(st.integers(0, cfg.resolution)), dtype=np.int64)
+    else:
+        m = draw(hnp.arrays(np.int64, size, elements=st.integers(0, cfg.resolution)))
+    powers = st.floats(1e-6, 1e6, allow_nan=False, allow_infinity=False)
+    p = draw(hnp.arrays(np.float64, size, elements=powers))
+    return cfg, n, m, p
+
+
+@SETTINGS
+@given(fleets())
+def test_single_bincount_pddf_matches_masked_oracle(fleet):
+    cfg, n, m, p = fleet
+    pddf = build_pddf_from_arrays(n, m, p, cfg)
+    phi0, phi1 = pddf_oracle(n, m, p, cfg)
+    assert same_bits(pddf.phi0, phi0)
+    assert same_bits(pddf.phi1, phi1)
+    assert pddf.installed_capacity == float(p.sum())
+
+
+def test_single_unit_pddf_matches_oracle():
+    cfg = ThermostatConfig(resolution=8)
+    for state in (0, 1):
+        n = np.array([state], dtype=np.int8)
+        m, p = np.array([3]), np.array([4.2])
+        pddf = build_pddf_from_arrays(n, m, p, cfg)
+        phi0, phi1 = pddf_oracle(n, m, p, cfg)
+        assert same_bits(pddf.phi0, phi0) and same_bits(pddf.phi1, phi1)
+
+
+@SETTINGS
+@given(st.data())
+def test_thermal_step_with_run_constants_matches_formula(data):
+    size = data.draw(st.integers(1, 64))
+
+    def positive(lo, hi):
+        return data.draw(hnp.arrays(np.float64, size, elements=st.floats(lo, hi)))
+
+    capacitance, resistance = positive(0.05, 50.0), positive(0.05, 50.0)
+    rated_power, cop = positive(0.1, 20.0), positive(1.0, 6.0)
+    theta = data.draw(hnp.arrays(np.float64, size, elements=st.floats(-60.0, 60.0)))
+    n = data.draw(hnp.arrays(np.int8, size, elements=st.integers(0, 1)))
+    outdoor = data.draw(st.floats(-40.0, 40.0))
+    dt = data.draw(st.floats(1e-9, 24.0))
+    noise = data.draw(st.one_of(
+        st.just(0.0),
+        hnp.arrays(np.float64, size, elements=st.floats(-1.0, 1.0))))
+    decay, lift = thermal_constants(capacitance, resistance, rated_power, cop, dt)
+    got = thermal_step(theta, n, decay, lift, outdoor, noise)
+    expected = thermal_oracle(theta, n, capacitance, resistance, rated_power, cop,
+                              outdoor, dt, noise)
+    assert same_bits(got, expected)
+    i = data.draw(st.integers(0, size - 1))
+    unit_noise = noise if np.ndim(noise) == 0 else float(noise[i])
+    scalar = thermal_step(float(theta[i]), int(n[i]), *thermal_constants(
+        float(capacitance[i]), float(resistance[i]), float(rated_power[i]),
+        float(cop[i]), dt), outdoor, unit_noise)
+    assert scalar == got[i]
