@@ -75,6 +75,21 @@ class PowerDensityPair:
             raise ValueError("installed_capacity must be > 0")
         if not self.grid_step > 0.0:
             raise ValueError("grid_step must be > 0")
+        self._set_densities(phi0, phi1)
+
+    @classmethod
+    def _from_valid(cls, phi0: np.ndarray, phi1: np.ndarray, grid_step: float,
+                    installed_capacity: float) -> "PowerDensityPair":
+        """Construct without re-validating. The caller guarantees every
+        invariant __post_init__ checks: phi0 and phi1 are nonnegative 1-d
+        float arrays of one length >= 2, and both scalars are > 0."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "grid_step", grid_step)
+        object.__setattr__(pair, "installed_capacity", installed_capacity)
+        pair._set_densities(phi0, phi1)
+        return pair
+
+    def _set_densities(self, phi0: np.ndarray, phi1: np.ndarray) -> None:
         object.__setattr__(self, "phi0", phi0)
         object.__setattr__(self, "phi1", phi1)
         object.__setattr__(self, "_cum0", np.cumsum(phi0 * self.grid_step))
@@ -120,13 +135,18 @@ class ControlDecision:
 
 def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
                            cfg: ThermostatConfig) -> PowerDensityPair:
-    """Vectorized PDDF construction from aligned report arrays."""
+    """Vectorized PDDF construction from aligned report arrays.
+
+    The checks below (at least one report, every rated power > 0, every
+    index in [0, R]) imply every invariant PowerDensityPair validates, so
+    the pair is built without validating it again.
+    """
     n = np.asarray(machine_state)
     m = np.asarray(temperature_index)
     p = np.asarray(rated_power, dtype=float)
     if n.size == 0:
         raise ValueError("cannot build a PDDF from zero reports")
-    if (p <= 0.0).any():
+    if not (p > 0.0).all():  # also rejects NaN
         raise ValueError("all rated powers must be > 0")
     if (m < 0).any() or (m > cfg.resolution).any():
         raise ValueError("temperature index outside [0, R]")
@@ -135,12 +155,7 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
     # one histogram over [off bins | on bins]; each bin still sums in unit order
     w = np.bincount((n != 0) * bins + m, weights=p, minlength=2 * bins)
     w /= p_cap * cfg.grid_step
-    return PowerDensityPair(
-        phi0=w[:bins],
-        phi1=w[bins:],
-        grid_step=cfg.grid_step,
-        installed_capacity=p_cap,
-    )
+    return PowerDensityPair._from_valid(w[:bins], w[bins:], cfg.grid_step, p_cap)
 
 
 def build_pddf(reports: Sequence[PowerStateVector], cfg: ThermostatConfig) -> PowerDensityPair:
@@ -273,11 +288,9 @@ def max_cff_increment(pddf: PowerDensityPair, cfg: ThermostatConfig) -> float:
         raise ValueError(
             f"PDDF resolution {pddf.resolution} does not match config {cfg.resolution}"
         )
-    lo, hi, off = cfg.ms_min, cfg.ms_max, cfg.switch_offset
-    mass0 = pddf.phi0 * pddf.grid_step
-    mass1 = pddf.phi1 * pddf.grid_step
+    lo, hi, off, step = cfg.ms_min, cfg.ms_max, cfg.switch_offset, pddf.grid_step
     # stepping m_s -> m_s+1 newly includes bin m_s+1-off of phi0 and bin m_s+off of phi1
-    steps = mass0[lo + 1 - off: hi + 1 - off] + mass1[lo + off: hi + off]
+    steps = pddf.phi0[lo + 1 - off: hi + 1 - off] * step + pddf.phi1[lo + off: hi + off] * step
     return float(steps.max()) if steps.size else 0.0
 
 

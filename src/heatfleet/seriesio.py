@@ -29,6 +29,7 @@ __all__ = [
     "write_series",
     "read_series",
     "write_histogram",
+    "write_pddf_dump",
     "write_manifest",
     "write_summary",
 ]
@@ -185,20 +186,40 @@ def write_histogram(path, bin_centers, heights) -> None:
             writer.writerow([_fmt(c), _fmt(h)])
 
 
+def _density_column(phi: np.ndarray) -> list[str]:
+    """repr() of every density. Exact +0.0 is the common case and is not
+    formatted; -0.0 (signbit set) and nan still go through repr()."""
+    text = ["0.0"] * phi.size
+    formatted = np.flatnonzero((phi != 0.0) | np.signbit(phi)).tolist()
+    for i, s in zip(formatted, map(repr, phi[formatted].tolist())):
+        text[i] = s
+    return text
+
+
 def write_pddf_dump(path, k: int, pddf, decision) -> None:
-    """Per-interval diagnostic dump of the densities and the decision."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", newline="") as fh:
-        fh.write(f"# k={k} ms_min={decision.ms_min} ms_max={decision.ms_max} "
-                 f"phi_min={_fmt(decision.phi_min)} phi_max={_fmt(decision.phi_max)} "
-                 f"ms_star={decision.ms_star} u={_fmt(decision.u)} "
-                 f"phi_target={_fmt(decision.phi_target)} "
-                 f"phi_predicted={_fmt(decision.phi_predicted)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["m", "phi0", "phi1"])
-        for m in range(pddf.resolution + 1):
-            writer.writerow([m, _fmt(pddf.phi0[m]), _fmt(pddf.phi1[m])])
+    """Per-interval diagnostic dump of the densities and the decision.
+
+    One ``#`` header line ending in ``\n``, then the ``m,phi0,phi1`` header
+    and one row per grid index, each ending in ``\r\n``. The dump is built
+    as one string and written with one call; the first dump of a run creates
+    the directory.
+    """
+    head = (f"# k={k} ms_min={decision.ms_min} ms_max={decision.ms_max} "
+            f"phi_min={_fmt(decision.phi_min)} phi_max={_fmt(decision.phi_max)} "
+            f"ms_star={decision.ms_star} u={_fmt(decision.u)} "
+            f"phi_target={_fmt(decision.phi_target)} "
+            f"phi_predicted={_fmt(decision.phi_predicted)}\n"
+            "m,phi0,phi1\r\n")
+    phi0 = _density_column(pddf.phi0)
+    phi1 = _density_column(pddf.phi1)
+    rows = [f"{m},{a},{b}\r\n" for m, a, b in zip(range(len(phi0)), phi0, phi1)]
+    try:
+        fh = open(path, "w", newline="")
+    except FileNotFoundError:
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "w", newline="")
+    with fh:
+        fh.write(head + "".join(rows))
 
 
 def write_manifest(path, config: RunConfig, version: str) -> None:

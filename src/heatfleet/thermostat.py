@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,7 +36,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThermostatConfig:
-    """Group-wide setpoint (degC), deadband (degC) and grid resolution."""
+    """Group-wide setpoint (degC), deadband (degC) and grid resolution.
+
+    The derived grid constants (grid_step, switch_offset, ms_min, ms_max) are
+    computed once per config and then read as plain attributes, because the
+    interval loop reads them thousands of times per run.
+    """
 
     setpoint: float = 20.0
     deadband: float = 1.0
@@ -50,8 +56,12 @@ class ThermostatConfig:
             raise ValueError(
                 f"resolution must be >= 8 and divisible by 8, got {self.resolution}"
             )
+        if not self.grid_step > 0.0:
+            raise ValueError(
+                f"deadband {self.deadband!r} is too small for resolution {self.resolution}"
+            )
 
-    @property
+    @cached_property
     def grid_step(self) -> float:
         """Temperature increment per index unit (degC): 2*deadband / R."""
         return 2.0 * self.deadband / self.resolution
@@ -61,17 +71,17 @@ class ThermostatConfig:
         """Total measured span (degC), twice the deadband."""
         return 2.0 * self.deadband
 
-    @property
+    @cached_property
     def switch_offset(self) -> int:
         """Index distance from the set-point index to a switching boundary (R/4)."""
         return self.resolution // 4
 
-    @property
+    @cached_property
     def ms_min(self) -> int:
         """Lowest admissible set-point index (3R/8), i.e. offset -deadband/4."""
         return 3 * self.resolution // 8
 
-    @property
+    @cached_property
     def ms_max(self) -> int:
         """Highest admissible set-point index (5R/8), i.e. offset +deadband/4."""
         return 5 * self.resolution // 8

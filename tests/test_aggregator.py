@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from heatfleet.aggregator import (
     PowerDensityPair,
@@ -81,6 +83,13 @@ class TestBuildPddf:
     def test_index_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             build_pddf_from_arrays(np.array([1]), np.array([9]), np.array([4.0]), CFG8)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+    def test_nonpositive_or_nan_power_rejected(self, bad):
+        # the pair is built without re-validation, so this check must hold alone
+        with pytest.raises(ValueError, match="rated powers"):
+            build_pddf_from_arrays(np.array([1, 0]), np.array([2, 3]),
+                                   np.array([4.0, bad]), CFG8)
 
     def test_normalization_and_nonnegativity(self):
         rng = np.random.default_rng(29)
@@ -318,3 +327,87 @@ def test_density_invariants_enforced():
     with pytest.raises(ValueError):
         PowerDensityPair(phi0=np.zeros(2), phi1=np.zeros(2),
                          grid_step=0.25, installed_capacity=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Properties over random grids and degenerate fleets. The oracles derive the
+# admissible interval [3R/8, 5R/8] and the switch offset R/4 from R itself,
+# so they also check the grid constants ThermostatConfig caches.
+# ---------------------------------------------------------------------------
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@st.composite
+def degenerate_fleets(draw):
+    """A grid R in 8Z and a fleet: mixed, a single unit, all on, all off or
+    all mass in one bin, with rated powers spanning twelve decades."""
+    cfg = ThermostatConfig(resolution=8 * draw(st.integers(1, 128)))
+    kind = draw(st.sampled_from(["mixed", "single", "all_on", "all_off", "one_bin"]))
+    size = 1 if kind == "single" else draw(st.integers(1, 120))
+    if kind in ("all_on", "all_off"):
+        n = np.full(size, int(kind == "all_on"), dtype=np.int8)
+    else:
+        n = draw(hnp.arrays(np.int8, size, elements=st.integers(0, 1)))
+    if kind == "one_bin":
+        m = np.full(size, draw(st.integers(0, cfg.resolution)), dtype=np.int64)
+    else:
+        m = draw(hnp.arrays(np.int64, size, elements=st.integers(0, cfg.resolution)))
+    p = draw(hnp.arrays(np.float64, size, elements=st.floats(1e-6, 1e6)))
+    return cfg, n, m, p
+
+
+def admissible(r):
+    return range(3 * r // 8, 5 * r // 8 + 1)
+
+
+def deadband_rule_phi(n, m, p, m_s, r):
+    """Realized capacity factor after every unit applies the deadband rule."""
+    on = (m <= m_s - r // 4) | ((m < m_s + r // 4) & (n != 0))
+    return p[on].sum() / p.sum()
+
+
+@PROPERTY_SETTINGS
+@given(degenerate_fleets())
+def test_cff_nondecreasing_and_mass_one(fleet):
+    cfg, n, m, p = fleet
+    pddf = build_pddf_from_arrays(n, m, p, cfg)
+    assert abs(pddf.total_mass() - 1.0) <= 1e-12
+    values = [cff(pddf, m_s, cfg) for m_s in admissible(cfg.resolution)]
+    assert all(a <= b for a, b in zip(values, values[1:]))
+    region = feasible_region(pddf, cfg)
+    assert (region.phi_min, region.phi_max) == (values[0], values[-1])
+
+
+@PROPERTY_SETTINGS
+@given(degenerate_fleets(), st.data())
+def test_select_setpoint_is_exhaustive_argmin(fleet, data):
+    cfg, n, m, p = fleet
+    r = cfg.resolution
+    pddf = build_pddf_from_arrays(n, m, p, cfg)
+    values = [cff(pddf, m_s, cfg) for m_s in admissible(r)]
+    # targets on a reachable value and midway between two put ties on both sides
+    i = data.draw(st.integers(0, len(values) - 1))
+    j = data.draw(st.integers(0, len(values) - 1))
+    target = data.draw(st.sampled_from([
+        values[i], (values[i] + values[j]) / 2.0,
+        data.draw(st.floats(-0.5, 1.5)), -1.0, 2.0]))
+    decision = select_setpoint(pddf, target, cfg)
+    best = min(admissible(r), key=lambda s: ((target - values[s - 3 * r // 8]) ** 2,
+                                             abs(s - r // 2)))
+    assert decision.ms_star == best
+    assert decision.phi_predicted == values[best - 3 * r // 8]
+    assert (decision.ms_min, decision.ms_max) == (3 * r // 8, 5 * r // 8)
+
+
+@PROPERTY_SETTINGS
+@given(degenerate_fleets())
+def test_realized_equals_predicted_for_every_setpoint(fleet):
+    cfg, n, m, p = fleet
+    r = cfg.resolution
+    pddf = build_pddf_from_arrays(n, m, p, cfg)
+    for m_s in admissible(r):
+        realized = deadband_rule_phi(n, m, p, m_s, r)
+        assert abs(cff(pddf, m_s, cfg) - realized) <= 1e-12
+        after = build_pddf_from_arrays(hysteresis_update(n, m, m_s, cfg), m, p, cfg)
+        assert capacity_factor(after) == pytest.approx(realized, rel=0, abs=1e-12)

@@ -4,7 +4,8 @@ The kernels may be rewritten for speed, but never so that a floating-point
 operation is reordered or replaced: every output byte must stay the same.
 The tracking bundle is compared with the committed ``heatfleet_out/``; a
 small wind pair is compared by sha256 with digests of the same run taken
-before the kernel rewrite.
+before the kernel rewrite, and the per-interval PDDF dumps of a small
+tracking run with a digest taken before the dump writer was rewritten.
 """
 
 import hashlib
@@ -29,6 +30,11 @@ WIND_DIGESTS = {
         "bef1a1a1d25f7b3b05d4e4c43c267884b32f334054361917ee671ad5b2c0a455",
 }
 
+# N = 200, horizon 40, burn-in 10, R = 1000, diagnostics on, seed 12345: sha256
+# over each dump's name, length and bytes, in k order
+DUMP_COUNT = 40
+DUMP_DIGEST = "998c6d9318fa0e3deb33f5f2f115dc9b00473a0b68194d20507b7d9b291adf05"
+
 
 @pytest.fixture(scope="module")
 def tracking_bundle(tmp_path_factory):
@@ -49,3 +55,18 @@ def test_wind_pair_matches_golden_digests(tmp_path):
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in WIND_DIGESTS}
     assert digests == WIND_DIGESTS
+
+
+def test_pddf_dumps_match_golden_digest(tmp_path):
+    config = config_from_dict({"scenario": "tracking", "seed": 12345,
+                               "population": {"count": 200}, "clock": {"horizon": 40},
+                               "tracking": {"burn_in": 10}, "diagnostics": True})
+    runner.write_tracking_outputs(config, tmp_path)
+    dumps = sorted((tmp_path / "diagnostics" / "tracking").iterdir())
+    assert [p.name for p in dumps] == [f"pddf_k{k:06d}.csv" for k in range(DUMP_COUNT)]
+    h = hashlib.sha256()
+    for path in dumps:
+        data = path.read_bytes()
+        h.update(f"{path.name}\0{len(data)}\0".encode())
+        h.update(data)
+    assert h.hexdigest() == DUMP_DIGEST

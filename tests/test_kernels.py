@@ -1,17 +1,22 @@
 """Bitwise equivalence of the interval-loop kernels with their reference formulas.
 
 Each oracle below is the straightforward form of a kernel: per-interval
-constants recomputed, boolean-mask copies, nested selects. The kernels in
-``src/`` must produce the same bits for every input, so the golden bundles
-cannot move when a kernel is rewritten for speed.
+constants recomputed, boolean-mask copies, nested selects, a csv.writer row
+per grid point. The kernels in ``src/`` must produce the same bits for every
+input, so the golden bundles cannot move when a kernel is rewritten for speed.
 """
 
+import csv
+from pathlib import Path
+
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from heatfleet.aggregator import build_pddf_from_arrays
+from heatfleet.aggregator import ControlDecision, build_pddf_from_arrays, max_cff_increment
 from heatfleet.building import thermal_constants, thermal_step
+from heatfleet.seriesio import write_pddf_dump
 from heatfleet.thermostat import ThermostatConfig, hysteresis_update, quantize
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -43,6 +48,34 @@ def thermal_oracle(theta, n, capacitance, resistance, rated_power, cop,
     tau = capacitance * resistance
     theta_eq = outdoor + n * cop * rated_power * resistance
     return theta_eq + (theta - theta_eq) * np.exp(-dt / tau) + noise
+
+
+def max_cff_increment_oracle(pddf, cfg):
+    lo, hi, off = cfg.ms_min, cfg.ms_max, cfg.switch_offset
+    mass0 = pddf.phi0 * pddf.grid_step
+    mass1 = pddf.phi1 * pddf.grid_step
+    steps = mass0[lo + 1 - off: hi + 1 - off] + mass1[lo + off: hi + off]
+    return float(steps.max())
+
+
+def _fmt(x):
+    return repr(float(x))
+
+
+def pddf_dump_oracle(path, k, pddf, decision):
+    """The csv.writer form of the per-interval PDDF dump."""
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    with p.open("w", newline="") as fh:
+        fh.write(f"# k={k} ms_min={decision.ms_min} ms_max={decision.ms_max} "
+                 f"phi_min={_fmt(decision.phi_min)} phi_max={_fmt(decision.phi_max)} "
+                 f"ms_star={decision.ms_star} u={_fmt(decision.u)} "
+                 f"phi_target={_fmt(decision.phi_target)} "
+                 f"phi_predicted={_fmt(decision.phi_predicted)}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["m", "phi0", "phi1"])
+        for m in range(pddf.resolution + 1):
+            writer.writerow([m, _fmt(pddf.phi0[m]), _fmt(pddf.phi1[m])])
 
 
 def same_bits(a, b):
@@ -131,6 +164,7 @@ def test_single_bincount_pddf_matches_masked_oracle(fleet):
     assert same_bits(pddf.phi0, phi0)
     assert same_bits(pddf.phi1, phi1)
     assert pddf.installed_capacity == float(p.sum())
+    assert same_bits(max_cff_increment(pddf, cfg), max_cff_increment_oracle(pddf, cfg))
 
 
 def test_single_unit_pddf_matches_oracle():
@@ -171,3 +205,57 @@ def test_thermal_step_with_run_constants_matches_formula(data):
         float(capacitance[i]), float(resistance[i]), float(rated_power[i]),
         float(cop[i]), dt), outdoor, unit_noise)
     assert scalar == got[i]
+
+
+class DensityPair:
+    """Only what the dump writer reads of a PowerDensityPair, without its
+    validation, so that any float can be written."""
+
+    def __init__(self, phi0, phi1):
+        self.phi0, self.phi1 = phi0, phi1
+        self.resolution = phi0.size - 1
+
+
+# +0.0 dominates real densities; the sampled values are the edge cases of repr()
+densities = st.one_of(
+    st.just(0.0),
+    st.sampled_from([-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, 1e16, 1e-5, 1e-4, 0.1, 1.0]),
+    st.floats(allow_subnormal=True, allow_nan=True, allow_infinity=True),
+    st.floats(0.0, 10.0),
+)
+reals = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@pytest.fixture(scope="module")
+def dump_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("dumps")
+
+
+@SETTINGS
+@given(data=st.data())
+def test_pddf_dump_matches_csv_writer_oracle(dump_dir, data):
+    size = data.draw(resolutions) + 1
+    phi0, phi1 = (data.draw(hnp.arrays(np.float64, size, elements=densities,
+                                       fill=st.just(0.0))) for _ in range(2))
+    decision = ControlDecision(
+        ms_min=data.draw(st.integers(0, 10**6)), ms_max=data.draw(st.integers(0, 10**6)),
+        phi_min=data.draw(reals), phi_max=data.draw(reals),
+        ms_star=data.draw(st.integers(0, 10**6)), u=data.draw(reals),
+        phi_target=data.draw(reals), phi_predicted=data.draw(reals))
+    k = data.draw(st.integers(0, 10**7))
+    pair = DensityPair(phi0, phi1)
+    write_pddf_dump(dump_dir / "got.csv", k, pair, decision)
+    pddf_dump_oracle(dump_dir / "expected.csv", k, pair, decision)
+    assert (dump_dir / "got.csv").read_bytes() == (dump_dir / "expected.csv").read_bytes()
+
+
+def test_pddf_dump_creates_its_directory(tmp_path):
+    pair = DensityPair(np.array([0.0, -0.0, 4.0]), np.array([np.nan, 0.0, 1e-310]))
+    decision = ControlDecision(1, 2, 0.25, 0.75, 1, -0.0, 0.5, 0.5)
+    write_pddf_dump(tmp_path / "a" / "b" / "dump.csv", 3, pair, decision)
+    pddf_dump_oracle(tmp_path / "expected.csv", 3, pair, decision)
+    got = (tmp_path / "a" / "b" / "dump.csv").read_bytes()
+    assert got == (tmp_path / "expected.csv").read_bytes()
+    assert got.split(b"\n", 1)[1] == (b"m,phi0,phi1\r\n0,0.0,nan\r\n"
+                                      b"1,-0.0,0.0\r\n2,4.0,1e-310\r\n")

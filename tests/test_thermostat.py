@@ -1,5 +1,6 @@
 """Thermostat grid tests, including an exact-rational oracle for the deadband rule."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -176,10 +177,17 @@ def test_config_invariants():
         ThermostatConfig(resolution=4)
     with pytest.raises(ValueError):
         ThermostatConfig(deadband=0.0)
+    with pytest.raises(ValueError):  # grid step 2 * deadband / R underflows to 0
+        ThermostatConfig(deadband=5e-324)
     cfg = ThermostatConfig(setpoint=21.0, deadband=2.0, resolution=64)
     assert cfg.grid_step * cfg.resolution == pytest.approx(2 * cfg.deadband, abs=0)
     assert cfg.measurement_range == 4.0
-    assert (cfg.ms_min, cfg.ms_max) == (24, 40)
+    assert (cfg.ms_min, cfg.ms_max, cfg.switch_offset) == (24, 40, 16)
+    # the grid constants are computed once per config, never carried to a new one
+    wider = dataclasses.replace(cfg, resolution=128)
+    assert (wider.grid_step, wider.ms_min, wider.ms_max, wider.switch_offset) == \
+        (4.0 / 128, 48, 80, 32)
+    assert wider != cfg and hash(cfg) == hash(ThermostatConfig(21.0, 2.0, 64))
 
 
 def test_power_state_vector_invariants():
