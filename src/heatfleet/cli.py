@@ -76,11 +76,12 @@ def _load(args, scenario: str | None) -> RunConfig:
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-    if args.horizon is not None:
-        if args.horizon < 0:
-            raise ConfigError(f"--horizon must be >= 0, got {args.horizon}")
-        updates["clock"] = dataclasses.replace(config.clock, horizon=args.horizon)
-    return dataclasses.replace(config, **updates) if updates else config
+    try:
+        if args.horizon is not None:
+            updates["clock"] = dataclasses.replace(config.clock, horizon=args.horizon)
+        return dataclasses.replace(config, **updates) if updates else config
+    except ValueError as exc:
+        raise ConfigError(f"command line: {exc}") from exc
 
 
 def _cmd_track(args) -> int:

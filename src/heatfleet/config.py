@@ -2,31 +2,47 @@
 
 A config file is a JSON object and every key is optional: a file
 containing just {"scenario": "tracking"} runs the default signal-tracking
-setup. The manifest emitted with each run wraps the fully resolved config
-under a "config" key plus a "meta" block; load_config accepts either form,
-so a manifest can be re-run directly.
+setup, and a null value stands for the key's default where it has one.
+The manifest emitted with each run wraps the fully resolved config under a
+"config" key plus a "meta" block; load_config accepts either form, so a
+manifest can be re-run directly.
+
+The sections decode straight into the domain dataclasses: clock into
+SimulationClock, thermostat into ThermostatConfig, each distribution into
+ParameterDist, and wind.turbine, wind.nominal and wind.synthetic into
+TurbineModel, NominalLoadModel and SyntheticWeather. The root, population,
+tracking and wind sections are the small dataclasses below. One codec
+converts between JSON and all of them: it checks each value's type and
+each section's keys, builds every object through its constructor, and
+reports the constructor's ValueError as a ConfigError naming the section.
+Range checks live in the constructors only.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import os
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .engine import ParameterDist
+from .engine import ParameterDist, PopulationSpec, SimulationClock
 from .errors import ConfigError
+from .scenarios import (
+    NominalLoadModel,
+    SyntheticWeather,
+    TrackingScenario,
+    TurbineModel,
+    WindScenario,
+)
+from .thermostat import ThermostatConfig
 
 __all__ = [
-    "DistConfig",
-    "ClockConfig",
     "PopulationConfig",
-    "ThermostatSection",
     "TrackingConfig",
-    "TurbineConfig",
-    "NominalConfig",
-    "SyntheticConfig",
     "WindConfig",
     "RunConfig",
     "load_config",
@@ -39,150 +55,97 @@ OUTPUT_DIR_ENV = "HEATFLEET_OUT"
 SCENARIO_DEFAULT_HORIZON = {"tracking": 400, "wind": 1440}
 SCENARIO_DEFAULT_COUNT = {"tracking": 1000, "wind": 2000}
 
+# the documented JSON key of every domain field whose name differs from it
+JSON_NAMES = {
+    ParameterDist: {"kind": "dist"},
+    ThermostatConfig: {"setpoint": "setpoint_c", "deadband": "deadband_c"},
+    TurbineModel: {"cut_in": "cut_in_mps", "rated_speed": "rated_mps",
+                   "cut_out": "cut_out_mps", "rated_power": "rated_power_kw",
+                   "turbine_count": "count"},
+    NominalLoadModel: {"off_peak_level": "off_peak_kw"},
+    SyntheticWeather: {"wind_mean": "wind_mean_mps", "wind_sd": "wind_sd_mps",
+                       "wind_reversion_per_hour": "wind_reversion_per_h",
+                       "temp_mean": "temp_mean_c", "temp_sd": "temp_sd_c",
+                       "temp_reversion_per_hour": "temp_reversion_per_h"},
+}
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
-
-
-def _as_number(value, path: str) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{path}: expected a number, got {value!r}")
-    _require(math.isfinite(float(value)), f"{path}: must be finite, got {value!r}")
-    return float(value)
-
-
-def _as_int(value, path: str) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _take(section: dict, key: str, default, path: str):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object")
-    return section.get(key, default)
-
-
-def _check_keys(section, allowed: set[str], path: str) -> None:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object")
-    unknown = set(section) - allowed
-    _require(not unknown, f"{path}: unknown keys {sorted(unknown)}")
-
-
-@dataclass(frozen=True)
-class DistConfig:
-    """JSON form of a parameter distribution."""
-
-    dist: str = "constant"
-    value: float = 0.0
-    low: float = 0.0
-    high: float = 0.0
-    mean: float = 0.0
-    sd: float = 0.0
-
-    @classmethod
-    def from_dict(cls, data: dict, path: str) -> "DistConfig":
-        kind = _take(data, "dist", None, path)
-        _require(kind in ("constant", "uniform", "lognormal"),
-                 f"{path}.dist: must be one of constant|uniform|lognormal, got {kind!r}")
-        if kind == "constant":
-            return cls(dist=kind, value=_as_number(_take(data, "value", None, path),
-                                                   f"{path}.value"))
-        if kind == "uniform":
-            low = _as_number(_take(data, "low", None, path), f"{path}.low")
-            high = _as_number(_take(data, "high", None, path), f"{path}.high")
-            _require(low <= high, f"{path}: low must be <= high")
-            return cls(dist=kind, low=low, high=high)
-        mean = _as_number(_take(data, "mean", None, path), f"{path}.mean")
-        sd = _as_number(_take(data, "sd", None, path), f"{path}.sd")
-        _require(mean > 0 and sd >= 0, f"{path}: lognormal needs mean > 0 and sd >= 0")
-        return cls(dist=kind, mean=mean, sd=sd)
-
-    def to_dict(self) -> dict:
-        if self.dist == "constant":
-            return {"dist": self.dist, "value": self.value}
-        if self.dist == "uniform":
-            return {"dist": self.dist, "low": self.low, "high": self.high}
-        return {"dist": self.dist, "mean": self.mean, "sd": self.sd}
-
-    def to_parameter_dist(self) -> ParameterDist:
-        if self.dist == "constant":
-            return ParameterDist.constant(self.value)
-        if self.dist == "uniform":
-            return ParameterDist.uniform(self.low, self.high)
-        return ParameterDist.lognormal(self.mean, self.sd)
-
-
-@dataclass(frozen=True)
-class ClockConfig:
-    dt_minutes: float = 1.0
-    horizon: int = 400
+# the parameters of each distribution kind: a distribution object holds
+# "dist" and exactly these keys
+DIST_KEYS = {"constant": ("value",), "uniform": ("low", "high"), "lognormal": ("mean", "sd")}
 
 
 @dataclass(frozen=True)
 class PopulationConfig:
+    """The population section. PopulationSpec checks count and process_noise_sd_c."""
+
     count: int = 1000
-    capacitance_kwh_per_c: DistConfig = DistConfig("lognormal", mean=2.5, sd=0.5)
-    resistance_c_per_kw: DistConfig = DistConfig("lognormal", mean=2.0, sd=0.4)
-    rated_power_kw: DistConfig = DistConfig("uniform", low=3.0, high=5.0)
-    cop: DistConfig = DistConfig("constant", value=3.5)
+    capacitance_kwh_per_c: ParameterDist = ParameterDist.lognormal(2.5, 0.5)
+    resistance_c_per_kw: ParameterDist = ParameterDist.lognormal(2.0, 0.4)
+    rated_power_kw: ParameterDist = ParameterDist.uniform(3.0, 5.0)
+    cop: ParameterDist = ParameterDist.constant(3.5)
     process_noise_sd_c: float = 0.01
 
+    def __post_init__(self) -> None:
+        self.spec()
 
-@dataclass(frozen=True)
-class ThermostatSection:
-    setpoint_c: float = 20.0
-    deadband_c: float = 1.0
-    resolution: int = 1000
+    def spec(self, **run) -> PopulationSpec:
+        """The fleet description; run gives its thermostat, initial_outdoor_temp and seed."""
+        return PopulationSpec(
+            count=self.count,
+            capacitance=self.capacitance_kwh_per_c,
+            resistance=self.resistance_c_per_kw,
+            rated_power=self.rated_power_kw,
+            cop=self.cop,
+            process_noise_sd=self.process_noise_sd_c,
+            **run,
+        )
 
 
 @dataclass(frozen=True)
 class TrackingConfig:
+    """The tracking section. TrackingScenario checks burn_in and ar_coefficient."""
+
     burn_in: int = 100
     outdoor_temp_c: float = 4.0
     phi_steady: float | None = None
     ar_coefficient: float = 0.9
     disturbance_scale: float = 0.25
 
+    def __post_init__(self) -> None:
+        self.scenario()
 
-@dataclass(frozen=True)
-class TurbineConfig:
-    cut_in_mps: float = 3.0
-    rated_mps: float = 12.0
-    cut_out_mps: float = 25.0
-    rated_power_kw: float = 2500.0
-    count: int = 2
-
-
-@dataclass(frozen=True)
-class NominalConfig:
-    anchors: tuple[tuple[float, float], ...] = (
-        (0.0, 2500.0), (5.0, 2500.0), (8.0, 5000.0), (12.0, 3500.0),
-        (17.0, 5500.0), (21.0, 4000.0),
-    )
-    off_peak_kw: float = 2500.0
-
-
-@dataclass(frozen=True)
-class SyntheticConfig:
-    wind_mean_mps: float = 8.0
-    wind_sd_mps: float = 2.0
-    wind_reversion_per_h: float = 2.0
-    temp_mean_c: float = 8.0
-    temp_sd_c: float = 1.5
-    temp_reversion_per_h: float = 0.2
+    def scenario(self) -> TrackingScenario:
+        return TrackingScenario(
+            outdoor_temp=self.outdoor_temp_c, burn_in=self.burn_in,
+            phi_steady=self.phi_steady, ar_coefficient=self.ar_coefficient,
+            disturbance_scale=self.disturbance_scale,
+        )
 
 
 @dataclass(frozen=True)
 class WindConfig:
+    """The wind section. WindScenario checks burn_in."""
+
     burn_in: int = 100
     start_hour: float = 0.0
     series_file: str | None = None
-    synthetic: SyntheticConfig = SyntheticConfig()
-    turbine: TurbineConfig = TurbineConfig()
-    nominal: NominalConfig = NominalConfig()
+    synthetic: SyntheticWeather = SyntheticWeather()
+    turbine: TurbineModel = TurbineModel()
+    nominal: NominalLoadModel = NominalLoadModel()
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.start_hour < 24.0:
+            raise ValueError(f"start_hour must be in [0, 24), got {self.start_hour!r}")
+        if self.series_file is not None and not Path(self.series_file).is_file():
+            raise ValueError(f"series_file: file not found: {self.series_file}")
+        self.scenario(self.synthetic, controlled=True)
+
+    def scenario(self, weather, controlled: bool) -> WindScenario:
+        """One arm of the wind pair; weather is SyntheticWeather or ingested arrays."""
+        return WindScenario(
+            turbine=self.turbine, nominal=self.nominal, weather=weather,
+            burn_in=self.burn_in, controlled=controlled, start_hour=self.start_hour,
+        )
 
 
 @dataclass(frozen=True)
@@ -192,267 +155,157 @@ class RunConfig:
     scenario: str = "tracking"
     seed: int = 12345
     output_dir: str = ""
-    clock: ClockConfig = ClockConfig()
+    clock: SimulationClock = SimulationClock()
     population: PopulationConfig = PopulationConfig()
-    thermostat: ThermostatSection = ThermostatSection()
+    thermostat: ThermostatConfig = ThermostatConfig()
     tracking: TrackingConfig = TrackingConfig()
     wind: WindConfig = WindConfig()
     diagnostics: bool = False
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:  # numpy seeds only from non-negative integers
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "clock": {
-                "dt_minutes": self.clock.dt_minutes,
-                "horizon": self.clock.horizon,
-            },
-            "population": {
-                "count": self.population.count,
-                "capacitance_kwh_per_c": self.population.capacitance_kwh_per_c.to_dict(),
-                "resistance_c_per_kw": self.population.resistance_c_per_kw.to_dict(),
-                "rated_power_kw": self.population.rated_power_kw.to_dict(),
-                "cop": self.population.cop.to_dict(),
-                "process_noise_sd_c": self.population.process_noise_sd_c,
-            },
-            "thermostat": {
-                "setpoint_c": self.thermostat.setpoint_c,
-                "deadband_c": self.thermostat.deadband_c,
-                "resolution": self.thermostat.resolution,
-            },
-            "tracking": {
-                "burn_in": self.tracking.burn_in,
-                "outdoor_temp_c": self.tracking.outdoor_temp_c,
-                "phi_steady": self.tracking.phi_steady,
-                "ar_coefficient": self.tracking.ar_coefficient,
-                "disturbance_scale": self.tracking.disturbance_scale,
-            },
-            "wind": {
-                "burn_in": self.wind.burn_in,
-                "start_hour": self.wind.start_hour,
-                "series_file": self.wind.series_file,
-                "synthetic": {
-                    "wind_mean_mps": self.wind.synthetic.wind_mean_mps,
-                    "wind_sd_mps": self.wind.synthetic.wind_sd_mps,
-                    "wind_reversion_per_h": self.wind.synthetic.wind_reversion_per_h,
-                    "temp_mean_c": self.wind.synthetic.temp_mean_c,
-                    "temp_sd_c": self.wind.synthetic.temp_sd_c,
-                    "temp_reversion_per_h": self.wind.synthetic.temp_reversion_per_h,
-                },
-                "turbine": {
-                    "cut_in_mps": self.wind.turbine.cut_in_mps,
-                    "rated_mps": self.wind.turbine.rated_mps,
-                    "cut_out_mps": self.wind.turbine.cut_out_mps,
-                    "rated_power_kw": self.wind.turbine.rated_power_kw,
-                    "count": self.wind.turbine.count,
-                },
-                "nominal": {
-                    "anchors": [list(a) for a in self.wind.nominal.anchors],
-                    "off_peak_kw": self.wind.nominal.off_peak_kw,
-                },
-            },
-            "diagnostics": self.diagnostics,
-        }
+        """The JSON form written to the manifest."""
+        return _encode(self)
+
+
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
+    return number
+
+
+def _integer(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
+def _instance(kind: type, expected: str):
+    def decode(value, path: str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        return value
+
+    return decode
+
+
+def _pairs(value, path: str) -> tuple[tuple[float, float], ...]:
+    """wind.nominal.anchors: a JSON list of [hour, kw] pairs."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list of [hour, kw] pairs")
+    pairs = []
+    for i, pair in enumerate(value):
+        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
+            raise ConfigError(f"{path}[{i}]: expected an [hour, kw] pair")
+        pairs.append((_number(pair[0], f"{path}[{i}][0]"),
+                      _number(pair[1], f"{path}[{i}][1]")))
+    return tuple(pairs)
+
+
+def _dist(value, path: str) -> ParameterDist:
+    """A distribution object: "dist" plus exactly the keys of its kind."""
+    kind = value.get("dist") if isinstance(value, dict) else None
+    keys = DIST_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ConfigError(f"{path}.dist: must be one of {'|'.join(DIST_KEYS)}, got {kind!r}")
+    foreign = value.keys() - {"dist", *keys}
+    if foreign:
+        raise ConfigError(f"{path}: unknown keys {sorted(foreign)} for dist {kind!r}")
+    for key in keys:
+        _number(value.get(key), f"{path}.{key}")
+    return _decode(ParameterDist, value, path)
+
+
+def _decoder(tp):
+    """The function that checks and converts a JSON value for a field of type tp."""
+    if type(None) in typing.get_args(tp):  # X | None: null never reaches a decoder
+        (tp,) = [arg for arg in typing.get_args(tp) if arg is not type(None)]
+    if tp is float:
+        return _number
+    if tp is int:
+        return _integer
+    if tp is str:
+        return _instance(str, "a string")
+    if tp is bool:
+        return _instance(bool, "true or false")
+    if tp is ParameterDist:
+        return _dist
+    if tp == tuple[tuple[float, float], ...]:
+        return _pairs
+    if dataclasses.is_dataclass(tp):
+        return functools.partial(_decode, tp)
+    raise TypeError(f"no JSON form for {tp!r}")
+
+
+@functools.cache
+def _fields(cls) -> dict[str, tuple[str, typing.Callable]]:
+    """JSON key -> (field name, decoder) for one config class, resolved once."""
+    names = JSON_NAMES.get(cls, {})
+    hints = typing.get_type_hints(cls)
+    return {names.get(f.name, f.name): (f.name, _decoder(hints[f.name]))
+            for f in dataclasses.fields(cls)}
+
+
+def _decode(cls, raw, path: str):
+    """Check raw against the fields of cls and build cls through its constructor."""
+    where = path or "config root"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object")
+    fields = _fields(cls)
+    unknown = raw.keys() - fields.keys()
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    prefix = f"{path}." if path else ""
+    kwargs = {}
+    for key, value in raw.items():
+        if value is not None:
+            name, decode = fields[key]
+            kwargs[name] = decode(value, prefix + key)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _encode(value):
+    """The JSON form of a config value: the inverse of _decode."""
+    if isinstance(value, ParameterDist):
+        return {"dist": value.kind, **{key: getattr(value, key) for key in DIST_KEYS[value.kind]}}
+    if dataclasses.is_dataclass(value):
+        return {key: _encode(getattr(value, name))
+                for key, (name, _) in _fields(type(value)).items()}
+    if isinstance(value, tuple):
+        return [_encode(item) for item in value]
+    return value
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Validate a raw JSON object and resolve all defaults into a RunConfig."""
-    _require(isinstance(data, dict), "config root: expected a JSON object")
-    known = {"scenario", "seed", "output_dir", "clock", "population", "thermostat",
-             "tracking", "wind", "diagnostics"}
-    unknown = set(data) - known
-    _require(not unknown, f"config root: unknown keys {sorted(unknown)}")
-
-    scenario = data.get("scenario", "tracking")
-    _require(scenario in ("tracking", "wind"),
-             f"scenario: must be 'tracking' or 'wind', got {scenario!r}")
-
-    seed = _as_int(data.get("seed", 12345), "seed")
-
-    output_dir = data.get("output_dir", "")
-    _require(isinstance(output_dir, str), "output_dir: expected a string")
-
-    clock_raw = data.get("clock", {})
-    _check_keys(clock_raw, {"dt_minutes", "horizon"}, "clock")
-    clock = ClockConfig(
-        dt_minutes=_as_number(_take(clock_raw, "dt_minutes", 1.0, "clock"),
-                              "clock.dt_minutes"),
-        horizon=_as_int(_take(clock_raw, "horizon",
-                              SCENARIO_DEFAULT_HORIZON[scenario], "clock"),
-                        "clock.horizon"),
-    )
-    _require(clock.dt_minutes > 0, "clock.dt_minutes: must be > 0")
-    _require(clock.horizon >= 0, "clock.horizon: must be >= 0")
-
-    pop_raw = data.get("population", {})
-    _check_keys(pop_raw, {"count", "capacitance_kwh_per_c", "resistance_c_per_kw",
-                          "rated_power_kw", "cop", "process_noise_sd_c"},
-                "population")
-    defaults = PopulationConfig()
-
-    def dist_field(key: str, default: DistConfig) -> DistConfig:
-        raw = _take(pop_raw, key, None, "population")
-        if raw is None:
-            return default
-        return DistConfig.from_dict(raw, f"population.{key}")
-
-    population = PopulationConfig(
-        count=_as_int(_take(pop_raw, "count", SCENARIO_DEFAULT_COUNT[scenario],
-                            "population"), "population.count"),
-        capacitance_kwh_per_c=dist_field("capacitance_kwh_per_c",
-                                         defaults.capacitance_kwh_per_c),
-        resistance_c_per_kw=dist_field("resistance_c_per_kw",
-                                       defaults.resistance_c_per_kw),
-        rated_power_kw=dist_field("rated_power_kw", defaults.rated_power_kw),
-        cop=dist_field("cop", defaults.cop),
-        process_noise_sd_c=_as_number(
-            _take(pop_raw, "process_noise_sd_c", 0.01, "population"),
-            "population.process_noise_sd_c"),
-    )
-    _require(population.count >= 1, "population.count: must be >= 1")
-    _require(population.process_noise_sd_c >= 0,
-             "population.process_noise_sd_c: must be >= 0")
-
-    th_raw = data.get("thermostat", {})
-    _check_keys(th_raw, {"setpoint_c", "deadband_c", "resolution"}, "thermostat")
-    thermostat = ThermostatSection(
-        setpoint_c=_as_number(_take(th_raw, "setpoint_c", 20.0, "thermostat"),
-                              "thermostat.setpoint_c"),
-        deadband_c=_as_number(_take(th_raw, "deadband_c", 1.0, "thermostat"),
-                              "thermostat.deadband_c"),
-        resolution=_as_int(_take(th_raw, "resolution", 1000, "thermostat"),
-                           "thermostat.resolution"),
-    )
-    _require(thermostat.deadband_c > 0, "thermostat.deadband_c: must be > 0")
-    _require(thermostat.resolution >= 8 and thermostat.resolution % 8 == 0,
-             f"thermostat.resolution: must be >= 8 and divisible by 8, "
-             f"got {thermostat.resolution}")
-
-    tr_raw = data.get("tracking", {})
-    _check_keys(tr_raw, {"burn_in", "outdoor_temp_c", "phi_steady",
-                         "ar_coefficient", "disturbance_scale"}, "tracking")
-    phi_steady_raw = _take(tr_raw, "phi_steady", None, "tracking")
-    tracking = TrackingConfig(
-        burn_in=_as_int(_take(tr_raw, "burn_in", 100, "tracking"), "tracking.burn_in"),
-        outdoor_temp_c=_as_number(_take(tr_raw, "outdoor_temp_c", 4.0, "tracking"),
-                                  "tracking.outdoor_temp_c"),
-        phi_steady=None if phi_steady_raw is None
-        else _as_number(phi_steady_raw, "tracking.phi_steady"),
-        ar_coefficient=_as_number(_take(tr_raw, "ar_coefficient", 0.9, "tracking"),
-                                  "tracking.ar_coefficient"),
-        disturbance_scale=_as_number(
-            _take(tr_raw, "disturbance_scale", 0.25, "tracking"),
-            "tracking.disturbance_scale"),
-    )
-    _require(tracking.burn_in >= 0, "tracking.burn_in: must be >= 0")
-    _require(0 <= tracking.ar_coefficient < 1,
-             "tracking.ar_coefficient: must be in [0, 1)")
-
-    w_raw = data.get("wind", {})
-    _check_keys(w_raw, {"burn_in", "start_hour", "series_file", "synthetic",
-                        "turbine", "nominal"}, "wind")
-    syn_raw = _take(w_raw, "synthetic", {}, "wind")
-    _check_keys(syn_raw, {"wind_mean_mps", "wind_sd_mps", "wind_reversion_per_h",
-                          "temp_mean_c", "temp_sd_c", "temp_reversion_per_h"},
-                "wind.synthetic")
-    synthetic = SyntheticConfig(
-        wind_mean_mps=_as_number(_take(syn_raw, "wind_mean_mps", 8.0, "wind.synthetic"),
-                                 "wind.synthetic.wind_mean_mps"),
-        wind_sd_mps=_as_number(_take(syn_raw, "wind_sd_mps", 2.0, "wind.synthetic"),
-                               "wind.synthetic.wind_sd_mps"),
-        wind_reversion_per_h=_as_number(
-            _take(syn_raw, "wind_reversion_per_h", 2.0, "wind.synthetic"),
-            "wind.synthetic.wind_reversion_per_h"),
-        temp_mean_c=_as_number(_take(syn_raw, "temp_mean_c", 8.0, "wind.synthetic"),
-                               "wind.synthetic.temp_mean_c"),
-        temp_sd_c=_as_number(_take(syn_raw, "temp_sd_c", 1.5, "wind.synthetic"),
-                             "wind.synthetic.temp_sd_c"),
-        temp_reversion_per_h=_as_number(
-            _take(syn_raw, "temp_reversion_per_h", 0.2, "wind.synthetic"),
-            "wind.synthetic.temp_reversion_per_h"),
-    )
-    tb_raw = _take(w_raw, "turbine", {}, "wind")
-    _check_keys(tb_raw, {"cut_in_mps", "rated_mps", "cut_out_mps",
-                         "rated_power_kw", "count"}, "wind.turbine")
-    turbine = TurbineConfig(
-        cut_in_mps=_as_number(_take(tb_raw, "cut_in_mps", 3.0, "wind.turbine"),
-                              "wind.turbine.cut_in_mps"),
-        rated_mps=_as_number(_take(tb_raw, "rated_mps", 12.0, "wind.turbine"),
-                             "wind.turbine.rated_mps"),
-        cut_out_mps=_as_number(_take(tb_raw, "cut_out_mps", 25.0, "wind.turbine"),
-                               "wind.turbine.cut_out_mps"),
-        rated_power_kw=_as_number(
-            _take(tb_raw, "rated_power_kw", 2500.0, "wind.turbine"),
-            "wind.turbine.rated_power_kw"),
-        count=_as_int(_take(tb_raw, "count", 2, "wind.turbine"), "wind.turbine.count"),
-    )
-    _require(0 < turbine.cut_in_mps < turbine.rated_mps < turbine.cut_out_mps,
-             "wind.turbine: need 0 < cut_in_mps < rated_mps < cut_out_mps")
-    _require(turbine.count >= 0, "wind.turbine.count: must be >= 0")
-
-    nom_raw = _take(w_raw, "nominal", {}, "wind")
-    _check_keys(nom_raw, {"anchors", "off_peak_kw"}, "wind.nominal")
-    anchors_raw = _take(nom_raw, "anchors", None, "wind.nominal")
-    if anchors_raw is None:
-        anchors = NominalConfig().anchors
-    else:
-        _require(isinstance(anchors_raw, list) and len(anchors_raw) > 0,
-                 "wind.nominal.anchors: expected a non-empty list of [hour, kw] pairs")
-        anchors = []
-        for i, pair in enumerate(anchors_raw):
-            _require(isinstance(pair, (list, tuple)) and len(pair) == 2,
-                     f"wind.nominal.anchors[{i}]: expected an [hour, kw] pair")
-            anchors.append((_as_number(pair[0], f"wind.nominal.anchors[{i}][0]"),
-                            _as_number(pair[1], f"wind.nominal.anchors[{i}][1]")))
-        anchors = tuple(anchors)
-    nominal = NominalConfig(
-        anchors=anchors,
-        off_peak_kw=_as_number(_take(nom_raw, "off_peak_kw", 2500.0, "wind.nominal"),
-                               "wind.nominal.off_peak_kw"),
-    )
-    _require(nominal.off_peak_kw > 0, "wind.nominal.off_peak_kw: must be > 0")
-    hours = [h for h, _ in nominal.anchors]
-    _require(all(0 <= h < 24 for h in hours),
-             "wind.nominal.anchors: hours must lie in [0, 24)")
-    _require(hours == sorted(hours) and len(set(hours)) == len(hours),
-             "wind.nominal.anchors: hours must be strictly increasing")
-    _require(all(v > 0 for _, v in nominal.anchors),
-             "wind.nominal.anchors: profile values must be > 0")
-
-    series_file = _take(w_raw, "series_file", None, "wind")
-    if series_file is not None:
-        _require(isinstance(series_file, str), "wind.series_file: expected a path string")
-        _require(Path(series_file).is_file(),
-                 f"wind.series_file: file not found: {series_file}")
-
-    wind = WindConfig(
-        burn_in=_as_int(_take(w_raw, "burn_in", 100, "wind"), "wind.burn_in"),
-        start_hour=_as_number(_take(w_raw, "start_hour", 0.0, "wind"),
-                              "wind.start_hour"),
-        series_file=series_file,
-        synthetic=synthetic,
-        turbine=turbine,
-        nominal=nominal,
-    )
-    _require(wind.burn_in >= 2,
-             "wind.burn_in: must be >= 2 (the regulation target needs two past loads)")
-    _require(0 <= wind.start_hour < 24, "wind.start_hour: must be in [0, 24)")
-
-    diagnostics = data.get("diagnostics", False)
-    _require(isinstance(diagnostics, bool), "diagnostics: expected true or false")
-
-    return RunConfig(
-        scenario=scenario,
-        seed=seed,
-        output_dir=output_dir,
-        clock=clock,
-        population=population,
-        thermostat=thermostat,
-        tracking=tracking,
-        wind=wind,
-        diagnostics=diagnostics,
-    )
+    if not isinstance(data, dict):
+        raise ConfigError("config root: expected a JSON object")
+    scenario = data.get("scenario")
+    if scenario is None:
+        scenario = "tracking"
+    if scenario not in ("tracking", "wind"):
+        raise ConfigError(f"scenario: must be 'tracking' or 'wind', got {scenario!r}")
+    # the scenario sets the defaults of clock.horizon and population.count
+    data = dict(data)
+    for section, key, default in (("clock", "horizon", SCENARIO_DEFAULT_HORIZON[scenario]),
+                                  ("population", "count", SCENARIO_DEFAULT_COUNT[scenario])):
+        raw = data.get(section)
+        raw = {} if raw is None else raw
+        if isinstance(raw, dict) and raw.get(key) is None:
+            data[section] = {**raw, key: default}
+    return _decode(RunConfig, data, "")
 
 
 def load_raw(path) -> dict:

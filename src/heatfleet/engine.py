@@ -332,32 +332,21 @@ class ScenarioSeries:
         return out
 
 
-@dataclass
-class _Record:
-    """One interval's outputs, appended to the series buffers."""
-
-    nominal_kw: float
-    wind_kw: float
-    heatpump_kw: float
-    total_kw: float
-    phi: float
-    phi_target: float
-    u: float
-    phi_min: float
-    phi_max: float
-    mean_theta: float
-    phi_predicted: float
-    quantization_floor: float
-    controlled: bool
-    min_theta: float
-    max_theta: float
-    switch_count: int
-    rapid_cycle_count: int
-    ms_star: int
+# the per-interval columns of a ScenarioSeries, by dtype
+_FLOAT_COLUMNS = (
+    "nominal_kw", "wind_kw", "heatpump_kw", "total_kw", "phi", "phi_target", "u",
+    "phi_min", "phi_max", "mean_theta", "phi_predicted", "quantization_floor",
+    "min_theta", "max_theta",
+)
+_INT_COLUMNS = ("switch_count", "rapid_cycle_count", "ms_star")
 
 
 class Simulation:
-    """Mutable run state: population arrays, scenario, clock and histories."""
+    """Mutable run state: population arrays, scenario, clock and histories.
+
+    columns maps each per-interval ScenarioSeries field to an array
+    preallocated for the horizon; interval k fills entry k.
+    """
 
     def __init__(self, population: Population, scenario, clock: SimulationClock,
                  noise_seed, scenario_seed, diagnostic_sink=None):
@@ -369,9 +358,11 @@ class Simulation:
         self.rng_scenario = np.random.default_rng(scenario_seed)
         self.diagnostic_sink = diagnostic_sink
         self.k = 0
-        self._load_history: list[float] = []
         self._prev_switched = np.zeros(len(population), dtype=bool)
-        self._records: list[_Record] = []
+        n = clock.horizon
+        self.columns = {name: np.empty(n) for name in _FLOAT_COLUMNS}
+        self.columns.update({name: np.empty(n, dtype=np.int64) for name in _INT_COLUMNS})
+        self.columns["controlled"] = np.empty(n, dtype=bool)
         # per-run constants: the fleet's parameters never change during a run
         self._decay, self._lift = thermal_constants(
             population.capacitance, population.resistance, population.rated_power,
@@ -380,11 +371,12 @@ class Simulation:
         self._max_rated_power = float(population.rated_power.max())
         scenario.prepare(clock.horizon, clock.dt_minutes, self.rng_scenario)
 
-    def run_interval(self) -> _Record:
-        """Execute one full report/decide/actuate cycle and record it."""
+    def run_interval(self) -> None:
+        """Execute one full report/decide/actuate cycle and record it in the columns."""
         pop = self.population
         cfg = self.cfg
         k = self.k
+        cols = self.columns
 
         # (1) thermal evolution under this interval's outdoor temperature
         outdoor = float(self.scenario.outdoor_c[k])
@@ -412,7 +404,7 @@ class Simulation:
         phi_hold = aggregator.cff(pddf, cfg.resolution // 2, cfg)
 
         # (4) scenario target (None keeps the set-point offset at zero)
-        hist = self._load_history
+        total_kw = cols["total_kw"]
         ctx = IntervalContext(
             k=k,
             phi_now=phi_now,
@@ -422,8 +414,8 @@ class Simulation:
             rng=self.rng_scenario,
             nominal_next_kw=float(self.scenario.nominal_kw[k]),
             wind_next_kw=float(self.scenario.wind_kw[k]),
-            load_now_kw=hist[-1] if len(hist) >= 1 else None,
-            load_prev_kw=hist[-2] if len(hist) >= 2 else None,
+            load_now_kw=float(total_kw[k - 1]) if k >= 1 else None,
+            load_prev_kw=float(total_kw[k - 2]) if k >= 2 else None,
         )
         target = self.scenario.phi_target(ctx)
         controlled = target is not None
@@ -449,37 +441,29 @@ class Simulation:
         heatpump_kw = self._installed_capacity * phi_realized
         nominal_kw = float(self.scenario.nominal_kw[k])
         wind_kw = float(self.scenario.wind_kw[k])
-        total = nominal_kw + heatpump_kw - wind_kw
-        self._load_history.append(total)
-
-        floor = (self._max_rated_power / self._installed_capacity
-                 + aggregator.max_cff_increment(pddf, cfg))
-        record = _Record(
-            nominal_kw=nominal_kw,
-            wind_kw=wind_kw,
-            heatpump_kw=heatpump_kw,
-            total_kw=total,
-            phi=phi_realized,
-            phi_target=decision.phi_target,
-            u=decision.u,
-            phi_min=decision.phi_min,
-            phi_max=decision.phi_max,
-            mean_theta=float(pop.indoor_temp.mean()),
-            phi_predicted=decision.phi_predicted,
-            quantization_floor=float(floor),
-            controlled=controlled,
-            min_theta=min_theta,
-            max_theta=max_theta,
-            switch_count=int(np.count_nonzero(switched)),
-            rapid_cycle_count=int(np.count_nonzero(switched & self._prev_switched)),
-            ms_star=decision.ms_star,
-        )
-        self._records.append(record)
+        cols["nominal_kw"][k] = nominal_kw
+        cols["wind_kw"][k] = wind_kw
+        cols["heatpump_kw"][k] = heatpump_kw
+        total_kw[k] = nominal_kw + heatpump_kw - wind_kw
+        cols["phi"][k] = phi_realized
+        cols["phi_target"][k] = decision.phi_target
+        cols["u"][k] = decision.u
+        cols["phi_min"][k] = decision.phi_min
+        cols["phi_max"][k] = decision.phi_max
+        cols["mean_theta"][k] = pop.indoor_temp.mean()
+        cols["phi_predicted"][k] = decision.phi_predicted
+        cols["quantization_floor"][k] = (self._max_rated_power / self._installed_capacity
+                                         + aggregator.max_cff_increment(pddf, cfg))
+        cols["controlled"][k] = controlled
+        cols["min_theta"][k] = min_theta
+        cols["max_theta"][k] = max_theta
+        cols["switch_count"][k] = np.count_nonzero(switched)
+        cols["rapid_cycle_count"][k] = np.count_nonzero(switched & self._prev_switched)
+        cols["ms_star"][k] = decision.ms_star
         if self.diagnostic_sink is not None:
             self.diagnostic_sink(k, pddf, decision)
         self._prev_switched = switched
         self.k += 1
-        return record
 
     def run(self) -> ScenarioSeries:
         while self.k < self.clock.horizon:
@@ -493,32 +477,10 @@ class Simulation:
         return self.series()
 
     def series(self) -> ScenarioSeries:
-        rec = self._records
         pop = self.population
-
-        def col(name, dtype=float):
-            return np.array([getattr(r, name) for r in rec], dtype=dtype)
-
         return ScenarioSeries(
-            k=np.arange(len(rec)),
-            nominal_kw=col("nominal_kw"),
-            wind_kw=col("wind_kw"),
-            heatpump_kw=col("heatpump_kw"),
-            total_kw=col("total_kw"),
-            phi=col("phi"),
-            phi_target=col("phi_target"),
-            u=col("u"),
-            phi_min=col("phi_min"),
-            phi_max=col("phi_max"),
-            mean_theta=col("mean_theta"),
-            phi_predicted=col("phi_predicted"),
-            quantization_floor=col("quantization_floor"),
-            controlled=col("controlled", dtype=bool),
-            min_theta=col("min_theta"),
-            max_theta=col("max_theta"),
-            switch_count=col("switch_count", dtype=np.int64),
-            rapid_cycle_count=col("rapid_cycle_count", dtype=np.int64),
-            ms_star=col("ms_star", dtype=np.int64),
+            k=np.arange(self.k),
+            **{name: column[:self.k] for name, column in self.columns.items()},
             installed_capacity=self._installed_capacity,
             max_rated_power=self._max_rated_power,
             population_size=len(pop),

@@ -8,21 +8,11 @@ import numpy as np
 
 from . import __version__, seriesio
 from .config import RunConfig, resolve_output_dir
-from .engine import PopulationSpec, ScenarioSeries, SimulationClock, run_simulation
-from .scenarios import (
-    NominalLoadModel,
-    SyntheticWeather,
-    TrackingScenario,
-    TurbineModel,
-    WindScenario,
-    generate_weather,
-    power_gradient_density,
-)
-from .thermostat import ThermostatConfig
+from .engine import PopulationSpec, ScenarioSeries, run_simulation
+from .scenarios import generate_weather, power_gradient_density
 
 __all__ = [
     "build_population_spec",
-    "build_clock",
     "run_tracking",
     "run_wind",
     "write_tracking_outputs",
@@ -31,64 +21,19 @@ __all__ = [
 ]
 
 
-def build_thermostat(config: RunConfig) -> ThermostatConfig:
-    return ThermostatConfig(
-        setpoint=config.thermostat.setpoint_c,
-        deadband=config.thermostat.deadband_c,
-        resolution=config.thermostat.resolution,
-    )
-
-
-def build_clock(config: RunConfig) -> SimulationClock:
-    return SimulationClock(dt_minutes=config.clock.dt_minutes,
-                           horizon=config.clock.horizon)
-
-
 def build_population_spec(config: RunConfig) -> PopulationSpec:
-    pop = config.population
     if config.scenario == "wind":
-        initial_outdoor = config.wind.synthetic.temp_mean_c
+        initial_outdoor = config.wind.synthetic.temp_mean
     else:
         initial_outdoor = config.tracking.outdoor_temp_c
-    return PopulationSpec(
-        count=pop.count,
-        capacitance=pop.capacitance_kwh_per_c.to_parameter_dist(),
-        resistance=pop.resistance_c_per_kw.to_parameter_dist(),
-        rated_power=pop.rated_power_kw.to_parameter_dist(),
-        cop=pop.cop.to_parameter_dist(),
-        thermostat=build_thermostat(config),
-        initial_outdoor_temp=initial_outdoor,
-        process_noise_sd=pop.process_noise_sd_c,
-        seed=config.seed,
-    )
+    return config.population.spec(thermostat=config.thermostat,
+                                  initial_outdoor_temp=initial_outdoor, seed=config.seed)
 
 
-def _turbine(config: RunConfig) -> TurbineModel:
-    t = config.wind.turbine
-    return TurbineModel(cut_in=t.cut_in_mps, rated_speed=t.rated_mps,
-                        cut_out=t.cut_out_mps, rated_power=t.rated_power_kw,
-                        turbine_count=t.count)
-
-
-def _nominal(config: RunConfig) -> NominalLoadModel:
-    n = config.wind.nominal
-    return NominalLoadModel(anchors=n.anchors, off_peak_level=n.off_peak_kw)
-
-
-def _synthetic(config: RunConfig) -> SyntheticWeather:
-    s = config.wind.synthetic
-    return SyntheticWeather(
-        wind_mean=s.wind_mean_mps, wind_sd=s.wind_sd_mps,
-        wind_reversion_per_hour=s.wind_reversion_per_h,
-        temp_mean=s.temp_mean_c, temp_sd=s.temp_sd_c,
-        temp_reversion_per_hour=s.temp_reversion_per_h,
-    )
-
-
-def _wind_weather(config: RunConfig, clock: SimulationClock):
+def _wind_weather(config: RunConfig):
     if config.wind.series_file is None:
-        return _synthetic(config)
-    series = seriesio.ingest_series(config.wind.series_file, clock)
+        return config.wind.synthetic
+    series = seriesio.ingest_series(config.wind.series_file, config.clock)
     return (series.wind_mps, series.outdoor_c)
 
 
@@ -105,34 +50,21 @@ def _diagnostic_sink(config: RunConfig, out_dir: Path, label: str):
 
 def run_tracking(config: RunConfig, diagnostic_sink=None) -> ScenarioSeries:
     """Run the signal-tracking scenario described by the config."""
-    clock = build_clock(config)
-    spec = build_population_spec(config)
-    t = config.tracking
-    scenario = TrackingScenario(
-        outdoor_temp=t.outdoor_temp_c, burn_in=t.burn_in, phi_steady=t.phi_steady,
-        ar_coefficient=t.ar_coefficient, disturbance_scale=t.disturbance_scale,
-    )
-    return run_simulation(spec, scenario, clock, diagnostic_sink=diagnostic_sink)
+    return run_simulation(build_population_spec(config), config.tracking.scenario(),
+                          config.clock, diagnostic_sink=diagnostic_sink)
 
 
 def run_wind(config: RunConfig, diagnostic_sink=None
              ) -> tuple[ScenarioSeries, ScenarioSeries]:
     """Run the paired wind-regulation experiment: controlled and uncontrolled
     arms share the seed, population, weather and nominal-load realization."""
-    clock = build_clock(config)
     spec = build_population_spec(config)
+    weather = _wind_weather(config)
     arms = []
     for controlled in (True, False):
-        scenario = WindScenario(
-            turbine=_turbine(config),
-            nominal=_nominal(config),
-            weather=_wind_weather(config, clock),
-            burn_in=config.wind.burn_in,
-            controlled=controlled,
-            start_hour=config.wind.start_hour,
-        )
+        scenario = config.wind.scenario(weather, controlled)
         sink = diagnostic_sink if controlled else None
-        arms.append(run_simulation(spec, scenario, clock, diagnostic_sink=sink))
+        arms.append(run_simulation(spec, scenario, config.clock, diagnostic_sink=sink))
     return arms[0], arms[1]
 
 
@@ -166,9 +98,9 @@ def write_wind_outputs(config: RunConfig, out_dir: Path | None = None) -> Path:
 def generate_wind_file(config: RunConfig, out_dir: Path | None = None) -> Path:
     """Emit a synthetic exogenous series covering the configured horizon."""
     out = Path(out_dir) if out_dir is not None else resolve_output_dir(config)
-    clock = build_clock(config)
+    clock = config.clock
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
-    t, wind, temp = generate_weather(_synthetic(config), clock.horizon + 1,
+    t, wind, temp = generate_weather(config.wind.synthetic, clock.horizon + 1,
                                      clock.dt_minutes, rng)
     path = out / "exogenous_series.csv"
     seriesio.write_exogenous(path, t, wind, temp)

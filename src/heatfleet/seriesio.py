@@ -116,37 +116,34 @@ def ingest_series(path, clock: SimulationClock) -> ExogenousSeries:
     )
 
 
-def write_exogenous(path, timestamps_min, wind_mps, outdoor_c) -> None:
+def _write_csv(path, header, columns) -> None:
+    """Write the columns as csv.writer would: fields joined by commas, every
+    row ending in ``\r\n``, each value as its repr(). The file is built as
+    one string and written with one call."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EXOGENOUS_HEADER)
-        for t, w, c in zip(timestamps_min, wind_mps, outdoor_c):
-            writer.writerow([_fmt(t), _fmt(w), _fmt(c)])
+    rows = map(",".join, zip(*(map(repr, column) for column in columns)))
+    p.write_text("".join(f"{row}\r\n" for row in (",".join(header), *rows)), newline="")
+
+
+def _floats(values) -> list[float]:
+    return np.asarray(values, dtype=float).tolist()
+
+
+def write_exogenous(path, timestamps_min, wind_mps, outdoor_c) -> None:
+    _write_csv(path, EXOGENOUS_HEADER,
+               [_floats(timestamps_min), _floats(wind_mps), _floats(outdoor_c)])
 
 
 def write_series(path, series: ScenarioSeries) -> None:
     """Write the fixed per-interval column set of one run."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SERIES_HEADER)
-        for i in range(len(series)):
-            writer.writerow([
-                int(series.k[i]),
-                _fmt(series.nominal_kw[i]),
-                _fmt(series.wind_kw[i]),
-                _fmt(series.heatpump_kw[i]),
-                _fmt(series.total_kw[i]),
-                _fmt(series.phi[i]),
-                _fmt(series.phi_target[i]),
-                _fmt(series.u[i]),
-                _fmt(series.phi_min[i]),
-                _fmt(series.phi_max[i]),
-                _fmt(series.mean_theta[i]),
-            ])
+    _write_csv(path, SERIES_HEADER, [
+        series.k.tolist(),
+        *(_floats(column) for column in (
+            series.nominal_kw, series.wind_kw, series.heatpump_kw, series.total_kw,
+            series.phi, series.phi_target, series.u, series.phi_min, series.phi_max,
+            series.mean_theta)),
+    ])
 
 
 def read_series(path) -> dict[str, np.ndarray]:
@@ -177,13 +174,8 @@ def read_series(path) -> dict[str, np.ndarray]:
 
 
 def write_histogram(path, bin_centers, heights) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_center_kw_per_interval", "density"])
-        for c, h in zip(bin_centers, heights):
-            writer.writerow([_fmt(c), _fmt(h)])
+    _write_csv(path, ["bin_center_kw_per_interval", "density"],
+               [_floats(bin_centers), _floats(heights)])
 
 
 def _density_column(phi: np.ndarray) -> list[str]:

@@ -26,7 +26,6 @@ from heatfleet.aggregator import (
 from heatfleet.cli import main
 from heatfleet.engine import PopulationSpec, SimulationClock, run_simulation
 from heatfleet.scenarios import SaturationScenario, TrackingScenario, WindScenario
-from heatfleet.runner import _nominal, _synthetic, _turbine
 from heatfleet.config import config_from_dict
 from heatfleet.thermostat import (
     ThermostatConfig,
@@ -77,15 +76,15 @@ def wind_pair():
     spec = PopulationSpec(
         count=500,
         thermostat=ThermostatConfig(20.0, 1.0, 1000),
-        initial_outdoor_temp=config.wind.synthetic.temp_mean_c,
+        initial_outdoor_temp=config.wind.synthetic.temp_mean,
         seed=config.seed,
     )
     clock = SimulationClock(1.0, 1440)
     arms = []
     for controlled in (True, False):
         scenario = WindScenario(
-            turbine=_turbine(config), nominal=_nominal(config),
-            weather=_synthetic(config), burn_in=100, controlled=controlled,
+            turbine=config.wind.turbine, nominal=config.wind.nominal,
+            weather=config.wind.synthetic, burn_in=100, controlled=controlled,
         )
         arms.append(run_simulation(spec, scenario, clock))
     return arms[0], arms[1]

@@ -164,9 +164,9 @@ class TestRunInterval:
         sim = Simulation(pop, FixedTargetScenario(), clock,
                          noise_seed=3, scenario_seed=4)
         states = []
-        for _ in range(clock.horizon):
-            rec = sim.run_interval()
-            assert rec.u == 0.0
+        for k in range(clock.horizon):
+            sim.run_interval()
+            assert sim.columns["u"][k] == 0.0
             states.append(int(pop.machine_state[0]))
         # the single unit must actually cycle under zero offset
         assert 0 < sum(states) < len(states)
@@ -181,9 +181,9 @@ class TestRunInterval:
         clock = SimulationClock(1e-9, 50)  # dt effectively zero
         sim = Simulation(pop, FeasibleFractionScenario(burn_in=0), clock,
                          noise_seed=5, scenario_seed=6)
-        for _ in range(clock.horizon):
-            rec = sim.run_interval()
-            assert abs(rec.phi - rec.phi_predicted) <= 1e-12
+        for k in range(clock.horizon):
+            sim.run_interval()
+            assert abs(sim.columns["phi"][k] - sim.columns["phi_predicted"][k]) <= 1e-12
 
     def test_scenario_error_carries_interval_index(self):
         spec = degenerate_spec(count=20, seed=33)

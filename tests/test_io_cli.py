@@ -1,6 +1,7 @@
 """Config, series file and CLI tests, including manifest reproducibility."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from heatfleet.config import RunConfig, config_from_dict, load_config
 from heatfleet.engine import SimulationClock
 from heatfleet.errors import ConfigError, SeriesError
 from heatfleet.scenarios import SyntheticWeather, generate_weather, turbine_power
-from heatfleet.runner import _turbine, generate_wind_file
+from heatfleet.runner import generate_wind_file
 from heatfleet.seriesio import (
     ingest_series,
     read_series,
@@ -42,14 +43,14 @@ class TestLoadConfig:
         assert cfg.population.count == 1000
         assert cfg.clock.horizon == 400
         assert cfg.tracking.burn_in == 100
-        assert cfg.population.capacitance_kwh_per_c.dist == "lognormal"
+        assert cfg.population.capacitance_kwh_per_c.kind == "lognormal"
 
     def test_wind_scenario_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"scenario": "wind"}))
         assert cfg.population.count == 2000
         assert cfg.clock.horizon == 1440
-        assert cfg.wind.turbine.rated_power_kw == 2500.0
-        assert cfg.wind.turbine.count == 2
+        assert cfg.wind.turbine.rated_power == 2500.0
+        assert cfg.wind.turbine.turbine_count == 2
 
     def test_paper_tracking_setup_accepted(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {
@@ -57,8 +58,8 @@ class TestLoadConfig:
             "population": {"count": 1000},
             "thermostat": {"setpoint_c": 20.0, "deadband_c": 1.0, "resolution": 1000},
         }))
-        assert cfg.thermostat.setpoint_c == 20.0
-        assert cfg.thermostat.deadband_c == 1.0
+        assert cfg.thermostat.setpoint == 20.0
+        assert cfg.thermostat.deadband == 1.0
 
     def test_resolution_divisibility_named_in_error(self, tmp_path):
         path = write_config(tmp_path, {"scenario": "tracking",
@@ -109,6 +110,54 @@ class TestLoadConfig:
         cfg = config_from_dict(SMALL_WIND)
         assert config_from_dict(cfg.to_dict()) == cfg
 
+    def test_null_stands_for_the_default(self):
+        nulls = {"scenario": "wind", "seed": None, "clock": {"horizon": None},
+                 "population": {"count": None, "cop": None}, "tracking": None,
+                 "wind": {"series_file": None, "nominal": {"anchors": None}}}
+        assert config_from_dict(nulls) == config_from_dict({"scenario": "wind"})
+
+
+# every value here fails when the config loads, with an error that names its
+# JSON section
+INVALID_AT_LOAD = [
+    # rejected by a domain class, but accepted by the config before it
+    # decoded into the domain classes, so the run failed midway with exit 1
+    ("wind.turbine", {"wind": {"turbine": {"rated_power_kw": 0}}}),
+    ("wind.turbine", {"wind": {"turbine": {"rated_power_kw": -5}}}),
+    ("wind.synthetic", {"wind": {"synthetic": {"wind_sd_mps": -1}}}),
+    ("wind.synthetic", {"wind": {"synthetic": {"temp_sd_c": -0.5}}}),
+    ("wind.synthetic", {"wind": {"synthetic": {"wind_reversion_per_h": 0}}}),
+    ("wind.synthetic", {"wind": {"synthetic": {"temp_reversion_per_h": 0}}}),
+    ("wind.synthetic", {"wind": {"synthetic": {"temp_reversion_per_h": -0.2}}}),
+    ("config root", {"seed": -1}),
+    ("clock.dt_minutes", {"clock": {"dt_minutes": 10**400}}),  # was an uncaught OverflowError
+    # keys that do not belong to the chosen dist
+    ("population.rated_power_kw",
+     {"population": {"rated_power_kw": {"dist": "uniform", "low": 3, "high": 5, "sd": 1}}}),
+    ("population.cop", {"population": {"cop": {"dist": "constant", "value": 3.5, "mean": 3.5}}}),
+    ("population.capacitance_kwh_per_c", {"population": {"capacitance_kwh_per_c": {
+        "dist": "lognormal", "mean": 2.5, "sd": 0.5, "value": 2}}}),
+    # checked by the run's objects, which the section classes build
+    ("population", {"population": {"count": 0}}),
+    ("population", {"population": {"process_noise_sd_c": -0.1}}),
+    ("tracking", {"tracking": {"burn_in": -1}}),
+    ("tracking", {"tracking": {"ar_coefficient": 1}}),
+    ("wind", {"wind": {"burn_in": 1}}),
+    ("wind", {"wind": {"start_hour": 24}}),
+    ("clock", {"clock": {"dt_minutes": 0}}),
+]
+
+
+@pytest.mark.parametrize("path, data", INVALID_AT_LOAD)
+def test_invalid_value_rejected_at_load(tmp_path, capsys, path, data):
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: "):
+        config_from_dict(data)
+    config = write_config(tmp_path, data)
+    assert main(["wind", "--config", str(config), "--out", str(tmp_path / "w")]) == 2
+    assert main(["gen-wind", "--config", str(config), "--out", str(tmp_path / "g")]) == 2
+    assert f"config error: {path}: " in capsys.readouterr().err
+    assert not (tmp_path / "w").exists() and not (tmp_path / "g").exists()
+
 
 class TestIngestSeries:
     def make_file(self, tmp_path, rows, header="timestamp,wind_speed_mps,outdoor_temp_c"):
@@ -122,7 +171,7 @@ class TestIngestSeries:
         series = ingest_series(self.make_file(tmp_path, rows), clock)
         assert len(series.wind_mps) == 51
         cfg = config_from_dict({"scenario": "wind"})
-        power = turbine_power(series.wind_mps, _turbine(cfg))
+        power = turbine_power(series.wind_mps, cfg.wind.turbine)
         assert (power == 5000.0).all()
         assert (series.outdoor_c == 8.0).all()
 
@@ -270,6 +319,15 @@ class TestCli:
         out = tmp_path / "fromfile"
         assert main(["wind", "--config", str(config2), "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize("option, message", [
+        ("--seed", "command line: seed must be >= 0"),
+        ("--horizon", "command line: horizon must be >= 0"),
+    ])
+    def test_invalid_override_exits_2(self, tmp_path, capsys, option, message):
+        assert main(["track", "--out", str(tmp_path / "out"), option, "-1"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_exit_codes(self, tmp_path, capsys):
         bad_config = write_config(tmp_path, {"thermostat": {"resolution": 12}})
         assert main(["track", "--config", str(bad_config)]) == 2
@@ -330,5 +388,5 @@ def test_diagnostic_dumps_written(tmp_path):
     assert len(text) == 2 + 17  # header lines plus one row per grid point
     m, phi0, phi1 = np.loadtxt(dumps[0], delimiter=",", skiprows=2).T
     cfg = load_config(config)
-    step = 2 * cfg.thermostat.deadband_c / cfg.thermostat.resolution
+    step = 2 * cfg.thermostat.deadband / cfg.thermostat.resolution
     assert ((phi0 + phi1) * step).sum() == pytest.approx(1.0, abs=1e-9)

@@ -2,7 +2,7 @@
 
 Each oracle below is the straightforward form of a kernel: per-interval
 constants recomputed, boolean-mask copies, nested selects, a csv.writer row
-per grid point. The kernels in ``src/`` must produce the same bits for every
+per grid point or interval. The kernels in ``src/`` must produce the same bits for every
 input, so the golden bundles cannot move when a kernel is rewritten for speed.
 """
 
@@ -16,7 +16,13 @@ from hypothesis.extra import numpy as hnp
 
 from heatfleet.aggregator import ControlDecision, build_pddf_from_arrays, max_cff_increment
 from heatfleet.building import thermal_constants, thermal_step
-from heatfleet.seriesio import write_pddf_dump
+from heatfleet.seriesio import (
+    SERIES_HEADER,
+    write_exogenous,
+    write_histogram,
+    write_pddf_dump,
+    write_series,
+)
 from heatfleet.thermostat import ThermostatConfig, hysteresis_update, quantize
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -76,6 +82,17 @@ def pddf_dump_oracle(path, k, pddf, decision):
         writer.writerow(["m", "phi0", "phi1"])
         for m in range(pddf.resolution + 1):
             writer.writerow([m, _fmt(pddf.phi0[m]), _fmt(pddf.phi1[m])])
+
+
+def csv_oracle(path, header, rows):
+    """The csv.writer form of the series, histogram and exogenous files."""
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    with p.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
 
 
 def same_bits(a, b):
@@ -259,3 +276,50 @@ def test_pddf_dump_creates_its_directory(tmp_path):
     assert got == (tmp_path / "expected.csv").read_bytes()
     assert got.split(b"\n", 1)[1] == (b"m,phi0,phi1\r\n0,0.0,nan\r\n"
                                       b"1,-0.0,0.0\r\n2,4.0,1e-310\r\n")
+
+
+SERIES_COLUMNS = ("nominal_kw", "wind_kw", "heatpump_kw", "total_kw", "phi", "phi_target",
+                  "u", "phi_min", "phi_max", "mean_theta")
+
+
+class SeriesColumns:
+    """Only what write_series reads of a ScenarioSeries."""
+
+    def __init__(self, columns):
+        self.k = np.arange(columns.shape[1])
+        for name, column in zip(SERIES_COLUMNS, columns):
+            setattr(self, name, column)
+
+    def __len__(self):
+        return self.k.size
+
+
+@SETTINGS
+@given(data=st.data())
+def test_csv_writers_match_csv_writer_oracle(dump_dir, data):
+    rows = data.draw(st.integers(0, 40))
+    columns = data.draw(hnp.arrays(np.float64, (len(SERIES_COLUMNS), rows), elements=densities))
+    a, b, c = columns[:3]
+
+    write_exogenous(dump_dir / "got.csv", a, b, c)
+    csv_oracle(dump_dir / "expected.csv", ["timestamp", "wind_speed_mps", "outdoor_temp_c"],
+               ([_fmt(x), _fmt(y), _fmt(z)] for x, y, z in zip(a, b, c)))
+    assert (dump_dir / "got.csv").read_bytes() == (dump_dir / "expected.csv").read_bytes()
+
+    write_histogram(dump_dir / "got.csv", a, b)
+    csv_oracle(dump_dir / "expected.csv", ["bin_center_kw_per_interval", "density"],
+               ([_fmt(x), _fmt(y)] for x, y in zip(a, b)))
+    assert (dump_dir / "got.csv").read_bytes() == (dump_dir / "expected.csv").read_bytes()
+
+    series = SeriesColumns(columns)
+    write_series(dump_dir / "got.csv", series)
+    csv_oracle(dump_dir / "expected.csv", SERIES_HEADER,
+               ([int(series.k[i])] + [_fmt(getattr(series, name)[i]) for name in SERIES_COLUMNS]
+                for i in range(len(series))))
+    assert (dump_dir / "got.csv").read_bytes() == (dump_dir / "expected.csv").read_bytes()
+
+
+def test_csv_writers_take_integer_inputs(tmp_path):
+    write_exogenous(tmp_path / "got.csv", [0, 1], np.array([3, 4]), [-0.0, 5])
+    assert (tmp_path / "got.csv").read_bytes() == (
+        b"timestamp,wind_speed_mps,outdoor_temp_c\r\n0.0,3.0,-0.0\r\n1.0,4.0,5.0\r\n")
