@@ -13,7 +13,6 @@ from .aggregator import (
     ControlDecision,
     FeasibleRegion,
     PowerDensityPair,
-    build_pddf,
     build_pddf_from_arrays,
     capacity_factor,
     cff,
@@ -22,13 +21,7 @@ from .aggregator import (
     select_setpoint,
     verify_boundary_condition,
 )
-from .building import (
-    BuildingParams,
-    BuildingState,
-    duty_cycle,
-    electrical_power,
-    step_thermal,
-)
+from .building import duty_cycle
 from .config import RunConfig, load_config
 from .engine import (
     ParameterDist,
@@ -44,22 +37,14 @@ from .errors import ConfigError, EngineError, HeatfleetError, SeriesError
 from .scenarios import (
     NominalLoadModel,
     SaturationScenario,
+    ScenarioInputs,
     SyntheticWeather,
     TrackingScenario,
     TrackingTarget,
     TurbineModel,
     WindScenario,
-    nominal_load,
     power_gradient_density,
-    total_load,
     turbine_power,
     wind_target,
 )
-from .thermostat import (
-    PowerStateVector,
-    ThermostatConfig,
-    hysteresis_update,
-    measurement_temperature,
-    quantize,
-    report_power_state,
-)
+from .thermostat import ThermostatConfig, hysteresis_update, measurement_temperature, quantize

@@ -24,17 +24,16 @@ bisection; equal-deviation ties resolve to the index closest to R/2
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .thermostat import PowerStateVector, ThermostatConfig
+from .thermostat import ThermostatConfig
 
 __all__ = [
     "PowerDensityPair",
     "FeasibleRegion",
     "ControlDecision",
-    "build_pddf",
     "build_pddf_from_arrays",
     "capacity_factor",
     "cff",
@@ -156,16 +155,6 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
     w = np.bincount((n != 0) * bins + m, weights=p, minlength=2 * bins)
     w /= p_cap * cfg.grid_step
     return PowerDensityPair._from_valid(w[:bins], w[bins:], cfg.grid_step, p_cap)
-
-
-def build_pddf(reports: Sequence[PowerStateVector], cfg: ThermostatConfig) -> PowerDensityPair:
-    """Fold power-state reports into the per-state power density pair."""
-    if len(reports) == 0:
-        raise ValueError("cannot build a PDDF from zero reports")
-    n = np.fromiter((r.machine_state for r in reports), dtype=np.int8, count=len(reports))
-    m = np.fromiter((r.temperature_index for r in reports), dtype=np.int64, count=len(reports))
-    p = np.fromiter((r.rated_power for r in reports), dtype=float, count=len(reports))
-    return build_pddf_from_arrays(n, m, p, cfg)
 
 
 def capacity_factor(pddf: PowerDensityPair) -> float:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import aggregator
-from .building import BuildingParams, BuildingState, thermal_constants, thermal_step
-from .errors import EngineError
+from .building import duty_cycle, thermal_constants, thermal_step
+from .errors import ConfigError, EngineError
 from .scenarios import IntervalContext
 from .thermostat import ThermostatConfig, hysteresis_update, quantize
 
@@ -115,7 +115,7 @@ class PopulationSpec:
 
 @dataclass
 class Population:
-    """Vectorized fleet state; iterating yields (BuildingParams, BuildingState)."""
+    """Vectorized fleet state: one entry per unit in each parameter and state array."""
 
     capacitance: np.ndarray
     resistance: np.ndarray
@@ -129,24 +129,6 @@ class Population:
     def __len__(self) -> int:
         return self.capacitance.size
 
-    def unit(self, i: int) -> tuple[BuildingParams, BuildingState]:
-        params = BuildingParams(
-            capacitance=float(self.capacitance[i]),
-            resistance=float(self.resistance[i]),
-            rated_power=float(self.rated_power[i]),
-            cop=float(self.cop[i]),
-            setpoint=self.thermostat.setpoint,
-            deadband=self.thermostat.deadband,
-        )
-        state = BuildingState(
-            indoor_temp=float(self.indoor_temp[i]),
-            machine_state=int(self.machine_state[i]),
-        )
-        return params, state
-
-    def __iter__(self):
-        return (self.unit(i) for i in range(len(self)))
-
     @property
     def installed_capacity(self) -> float:
         return float(self.rated_power.sum())
@@ -155,26 +137,6 @@ class Population:
 def _streams(seed: int) -> tuple[np.random.SeedSequence, ...]:
     """Spawn the (parameters, process noise, scenario) child streams."""
     return tuple(np.random.SeedSequence(seed).spawn(3))
-
-
-def _vector_duty_cycle(cap, res, power, cop, cfg: ThermostatConfig,
-                       outdoor: float) -> np.ndarray:
-    lo = cfg.setpoint - cfg.deadband / 2.0
-    hi = cfg.setpoint + cfg.deadband / 2.0
-    duty = np.empty(cap.size)
-    if outdoor >= lo:
-        # off-state equilibrium already inside or above the band: no heating
-        duty[:] = 0.0
-        return duty
-    tau = cap * res
-    eq_on = outdoor + cop * power * res
-    always_on = eq_on <= hi
-    duty[always_on] = 1.0
-    cyc = ~always_on
-    t_on = tau[cyc] * np.log((eq_on[cyc] - lo) / (eq_on[cyc] - hi))
-    t_off = tau[cyc] * np.log((hi - outdoor) / (lo - outdoor))
-    duty[cyc] = t_on / (t_on + t_off)
-    return duty
 
 
 def generate_population(spec: PopulationSpec) -> Population:
@@ -211,10 +173,10 @@ def generate_population(spec: PopulationSpec) -> Population:
     while bad.any():
         rounds += 1
         if rounds > _RESAMPLE_ROUNDS:
-            raise ValueError(
-                f"{int(bad.sum())} parameter draws still violate the unit invariants "
-                f"after {_RESAMPLE_ROUNDS} resampling rounds; distributions are "
-                "incompatible with the thermostat deadband"
+            raise ConfigError(
+                f"population: {int(bad.sum())} parameter draws still violate the unit "
+                f"invariants after {_RESAMPLE_ROUNDS} resampling rounds; distributions "
+                "are incompatible with the thermostat deadband"
             )
         k = int(bad.sum())
         cap[bad] = spec.capacitance.sample(rng, k)
@@ -225,7 +187,7 @@ def generate_population(spec: PopulationSpec) -> Population:
 
     theta0 = rng.uniform(cfg.setpoint - cfg.deadband / 2.0,
                          cfg.setpoint + cfg.deadband / 2.0, n)
-    duty = _vector_duty_cycle(cap, res, power, cop, cfg, spec.initial_outdoor_temp)
+    duty = duty_cycle(cap, res, power, cop, cfg, spec.initial_outdoor_temp)
     n0 = (rng.random(n) < duty).astype(np.int8)
 
     return Population(
@@ -334,7 +296,7 @@ class ScenarioSeries:
 
 # the per-interval columns of a ScenarioSeries, by dtype
 _FLOAT_COLUMNS = (
-    "nominal_kw", "wind_kw", "heatpump_kw", "total_kw", "phi", "phi_target", "u",
+    "heatpump_kw", "total_kw", "phi", "phi_target", "u",
     "phi_min", "phi_max", "mean_theta", "phi_predicted", "quantization_floor",
     "min_theta", "max_theta",
 )
@@ -344,8 +306,9 @@ _INT_COLUMNS = ("switch_count", "rapid_cycle_count", "ms_star")
 class Simulation:
     """Mutable run state: population arrays, scenario, clock and histories.
 
-    columns maps each per-interval ScenarioSeries field to an array
-    preallocated for the horizon; interval k fills entry k.
+    inputs holds the scenario's exogenous ScenarioInputs for the run. columns
+    maps each per-interval ScenarioSeries field the engine computes to an
+    array preallocated for the horizon; interval k fills entry k.
     """
 
     def __init__(self, population: Population, scenario, clock: SimulationClock,
@@ -369,7 +332,7 @@ class Simulation:
             population.cop, clock.dt_hours)
         self._installed_capacity = population.installed_capacity
         self._max_rated_power = float(population.rated_power.max())
-        scenario.prepare(clock.horizon, clock.dt_minutes, self.rng_scenario)
+        self.inputs = scenario.prepare(clock.horizon, clock.dt_minutes, self.rng_scenario)
 
     def run_interval(self) -> None:
         """Execute one full report/decide/actuate cycle and record it in the columns."""
@@ -377,9 +340,12 @@ class Simulation:
         cfg = self.cfg
         k = self.k
         cols = self.columns
+        inputs = self.inputs
+        nominal_kw = float(inputs.nominal_kw[k])
+        wind_kw = float(inputs.wind_kw[k])
 
         # (1) thermal evolution under this interval's outdoor temperature
-        outdoor = float(self.scenario.outdoor_c[k])
+        outdoor = float(inputs.outdoor_c[k])
         if pop.process_noise_sd > 0.0:
             noise = self.rng_noise.normal(0.0, pop.process_noise_sd, len(pop))
         else:
@@ -412,8 +378,8 @@ class Simulation:
             region=region,
             installed_capacity=self._installed_capacity,
             rng=self.rng_scenario,
-            nominal_next_kw=float(self.scenario.nominal_kw[k]),
-            wind_next_kw=float(self.scenario.wind_kw[k]),
+            nominal_next_kw=nominal_kw,
+            wind_next_kw=wind_kw,
             load_now_kw=float(total_kw[k - 1]) if k >= 1 else None,
             load_prev_kw=float(total_kw[k - 2]) if k >= 2 else None,
         )
@@ -439,10 +405,6 @@ class Simulation:
                 f"deviates from prediction {decision.phi_predicted!r}"
             )
         heatpump_kw = self._installed_capacity * phi_realized
-        nominal_kw = float(self.scenario.nominal_kw[k])
-        wind_kw = float(self.scenario.wind_kw[k])
-        cols["nominal_kw"][k] = nominal_kw
-        cols["wind_kw"][k] = wind_kw
         cols["heatpump_kw"][k] = heatpump_kw
         total_kw[k] = nominal_kw + heatpump_kw - wind_kw
         cols["phi"][k] = phi_realized
@@ -480,6 +442,8 @@ class Simulation:
         pop = self.population
         return ScenarioSeries(
             k=np.arange(self.k),
+            nominal_kw=self.inputs.nominal_kw[:self.k],
+            wind_kw=self.inputs.wind_kw[:self.k],
             **{name: column[:self.k] for name, column in self.columns.items()},
             installed_capacity=self._installed_capacity,
             max_rated_power=self._max_rated_power,

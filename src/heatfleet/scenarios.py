@@ -9,7 +9,8 @@ by steering the total load toward the mean of its last two intervals).
 The wind scenario composes a piecewise-linear diurnal nominal-load profile
 with Gaussian fluctuations, a cut-in/rated/cut-out turbine power curve, and
 wind-speed/outdoor-temperature inputs that are either ingested from a file
-or synthesized by a mean-reverting process.
+or synthesized by a mean-reverting process. Each scenario's prepare returns
+the run's exogenous inputs as one ScenarioInputs value.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ __all__ = [
     "NominalLoadModel",
     "SyntheticWeather",
     "TrackingTarget",
+    "ScenarioInputs",
     "IntervalContext",
     "TrackingScenario",
     "SaturationScenario",
     "WindScenario",
     "turbine_power",
-    "nominal_load",
-    "total_load",
     "wind_target",
     "power_gradient_density",
     "generate_weather",
@@ -128,20 +128,6 @@ class NominalLoadModel:
         tod = np.where(tod < hours[0], tod + 24.0, tod)
         out = np.interp(tod, xp, fp)
         return float(out) if np.ndim(time_of_day) == 0 else out
-
-
-def nominal_load(time_of_day: float, rng_draw: float, model: NominalLoadModel) -> float:
-    """One noisy nominal-load sample (kW), floored at zero."""
-    if not 0.0 <= time_of_day < 24.0:
-        raise ValueError(f"time_of_day must be in [0, 24), got {time_of_day!r}")
-    return max(0.0, model.profile(time_of_day) + model.fluctuation_sd * rng_draw)
-
-
-def total_load(nominal_kw: float, heatpump_kw: float, wind_kw: float) -> float:
-    """Community total load: nominal plus heat pump demand minus wind generation."""
-    if not all(math.isfinite(x) for x in (nominal_kw, heatpump_kw, wind_kw)):
-        raise ValueError("total_load inputs must be finite")
-    return nominal_kw + heatpump_kw - wind_kw
 
 
 def wind_target(wind_next_kw: float, nominal_next_kw: float, load_now_kw: float,
@@ -260,6 +246,30 @@ def generate_weather(weather: SyntheticWeather, samples: int, dt_minutes: float,
     return t, np.maximum(wind, 0.0), temp
 
 
+@dataclass(frozen=True, eq=False)
+class ScenarioInputs:
+    """Exogenous inputs of one run, one entry per interval plus one step of
+    foreknowledge: outdoor temperature (degC), nominal load and wind
+    generation (kW)."""
+
+    outdoor_c: np.ndarray
+    nominal_kw: np.ndarray
+    wind_kw: np.ndarray
+
+    def __post_init__(self) -> None:
+        if len({values.shape for values in vars(self).values()}) != 1:
+            raise ValueError("outdoor_c, nominal_kw and wind_kw must be of one length")
+        for name, values in vars(self).items():
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
+
+
+def _constant_inputs(horizon: int, outdoor_temp: float) -> ScenarioInputs:
+    """Constant outdoor temperature, no nominal load and no wind."""
+    n = horizon + 1
+    return ScenarioInputs(np.full(n, outdoor_temp), np.zeros(n), np.zeros(n))
+
+
 @dataclass
 class IntervalContext:
     """Everything a target policy may consult when asked for the next target.
@@ -295,14 +305,12 @@ class TrackingScenario:
         self._signal = TrackingTarget(ar_coefficient, disturbance_scale)
         self._steady: float | None = phi_steady
 
-    def prepare(self, horizon: int, dt_minutes: float, rng: np.random.Generator) -> None:
+    def prepare(self, horizon: int, dt_minutes: float,
+                rng: np.random.Generator) -> ScenarioInputs:
         # start every run from the constructor's state, so runs do not leak into each other
         self._steady = self.phi_steady
         self._signal.reset()
-        n = horizon + 1
-        self.outdoor_c = np.full(n, self.outdoor_temp_value)
-        self.nominal_kw = np.zeros(n)
-        self.wind_kw = np.zeros(n)
+        return _constant_inputs(horizon, self.outdoor_temp_value)
 
     def phi_target(self, ctx: IntervalContext) -> float | None:
         if ctx.k < self.burn_in:
@@ -323,11 +331,9 @@ class SaturationScenario:
         self.burn_in = burn_in
         self.overshoot = overshoot
 
-    def prepare(self, horizon: int, dt_minutes: float, rng: np.random.Generator) -> None:
-        n = horizon + 1
-        self.outdoor_c = np.full(n, self.outdoor_temp_value)
-        self.nominal_kw = np.zeros(n)
-        self.wind_kw = np.zeros(n)
+    def prepare(self, horizon: int, dt_minutes: float,
+                rng: np.random.Generator) -> ScenarioInputs:
+        return _constant_inputs(horizon, self.outdoor_temp_value)
 
     def phi_target(self, ctx: IntervalContext) -> float | None:
         if ctx.k < self.burn_in:
@@ -360,7 +366,8 @@ class WindScenario:
         self.controlled = controlled
         self.start_hour = start_hour
 
-    def prepare(self, horizon: int, dt_minutes: float, rng: np.random.Generator) -> None:
+    def prepare(self, horizon: int, dt_minutes: float,
+                rng: np.random.Generator) -> ScenarioInputs:
         n = horizon + 1
         if isinstance(self.weather, SyntheticWeather):
             _, wind_mps, outdoor = generate_weather(self.weather, n, dt_minutes, rng)
@@ -373,13 +380,13 @@ class WindScenario:
                 )
             wind_mps = np.asarray(wind_mps, dtype=float)[:n]
             outdoor = np.asarray(outdoor, dtype=float)[:n]
-        self.outdoor_c = outdoor
-        self.wind_kw = turbine_power(wind_mps, self.turbine)
+        wind_kw = turbine_power(wind_mps, self.turbine)
         tod = np.mod(self.start_hour + np.arange(n) * dt_minutes / 60.0, 24.0)
         draws = rng.standard_normal(n)
-        self.nominal_kw = np.maximum(
+        nominal_kw = np.maximum(
             0.0, self.nominal.profile(tod) + self.nominal.fluctuation_sd * draws
         )
+        return ScenarioInputs(outdoor, nominal_kw, wind_kw)
 
     def phi_target(self, ctx: IntervalContext) -> float | None:
         if not self.controlled or ctx.k < self.burn_in:

@@ -22,16 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .building import BuildingParams, BuildingState
-
-__all__ = [
-    "ThermostatConfig",
-    "PowerStateVector",
-    "quantize",
-    "measurement_temperature",
-    "hysteresis_update",
-    "report_power_state",
-]
+__all__ = ["ThermostatConfig", "quantize", "measurement_temperature", "hysteresis_update"]
 
 
 @dataclass(frozen=True)
@@ -87,23 +78,6 @@ class ThermostatConfig:
         return 5 * self.resolution // 8
 
 
-@dataclass(frozen=True)
-class PowerStateVector:
-    """One unit's report: machine state, quantized temperature index, rated kW."""
-
-    machine_state: int
-    temperature_index: int
-    rated_power: float
-
-    def __post_init__(self) -> None:
-        if self.machine_state not in (0, 1):
-            raise ValueError(f"machine_state must be 0 or 1, got {self.machine_state!r}")
-        if self.temperature_index < 0:
-            raise ValueError(f"temperature_index must be >= 0, got {self.temperature_index}")
-        if not (math.isfinite(self.rated_power) and self.rated_power > 0.0):
-            raise ValueError(f"rated_power must be finite and > 0, got {self.rated_power!r}")
-
-
 def quantize(theta_a, cfg: ThermostatConfig):
     """Map temperature(s) to the nearest grid index, clamped to [0, R].
 
@@ -143,13 +117,3 @@ def hysteresis_update(n, m, m_s: int, cfg: ThermostatConfig):
     m_arr = np.asarray(m)
     n_new = ((m_arr <= lower) | ((m_arr < upper) & (np.asarray(n) != 0))).view(np.int8)
     return int(n_new) if np.ndim(m) == 0 else n_new
-
-
-def report_power_state(state: BuildingState, params: BuildingParams,
-                       cfg: ThermostatConfig) -> PowerStateVector:
-    """Assemble the unit's report [n, quantize(theta_a), P_h]."""
-    return PowerStateVector(
-        machine_state=state.machine_state,
-        temperature_index=quantize(state.indoor_temp, cfg),
-        rated_power=params.rated_power,
-    )

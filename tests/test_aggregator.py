@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 
 from heatfleet.aggregator import (
     PowerDensityPair,
-    build_pddf,
     build_pddf_from_arrays,
     capacity_factor,
     cff,
@@ -17,7 +16,6 @@ from heatfleet.aggregator import (
     verify_boundary_condition,
 )
 from heatfleet.thermostat import (
-    PowerStateVector,
     ThermostatConfig,
     hysteresis_update,
     measurement_temperature,
@@ -34,6 +32,12 @@ def random_reports(rng, n, cfg):
     return state, m, power
 
 
+def pddf_of(reports, cfg):
+    """PDDF of (machine_state, temperature_index, rated_power) report triples."""
+    state, m, power = (np.array(column) for column in zip(*reports))
+    return build_pddf_from_arrays(state, m, power, cfg)
+
+
 def realized_phi_after_switch(state, m, power, m_s, cfg):
     """Independent oracle: apply the deadband rule to every unit and sum."""
     n_new = hysteresis_update(state, m, m_s, cfg)
@@ -42,14 +46,13 @@ def realized_phi_after_switch(state, m, power, m_s, cfg):
 
 class TestBuildPddf:
     def test_single_unit(self):
-        pddf = build_pddf([PowerStateVector(1, 300, 4.0)], CFG1000)
+        pddf = pddf_of([(1, 300, 4.0)], CFG1000)
         assert pddf.installed_capacity == 4.0
         assert pddf.phi1[300] * pddf.grid_step == pytest.approx(1.0, abs=1e-12)
         assert pddf.phi0.sum() == 0.0
 
     def test_two_unit_weighted_histogram(self):
-        reports = [PowerStateVector(1, 300, 4.0), PowerStateVector(0, 700, 6.0)]
-        pddf = build_pddf(reports, CFG1000)
+        pddf = pddf_of([(1, 300, 4.0), (0, 700, 6.0)], CFG1000)
         assert pddf.installed_capacity == 10.0
         assert pddf.phi1[300] * pddf.grid_step == pytest.approx(0.4, abs=1e-12)
         assert pddf.phi0[700] * pddf.grid_step == pytest.approx(0.6, abs=1e-12)
@@ -57,25 +60,23 @@ class TestBuildPddf:
     def test_capacity_factor_matches_direct_sum(self):
         rng = np.random.default_rng(17)
         state, m, power = random_reports(rng, 1000, CFG1000)
-        reports = [PowerStateVector(int(s), int(i), float(p))
-                   for s, i, p in zip(state, m, power)]
-        pddf = build_pddf(reports, CFG1000)
+        pddf = build_pddf_from_arrays(state, m, power, CFG1000)
         direct = (state * power).sum() / power.sum()
         assert abs(capacity_factor(pddf) - direct) <= 1e-12
 
     def test_array_and_report_paths_agree(self):
+        # per-unit reports as plain Python lists fold exactly like the engine's arrays
         rng = np.random.default_rng(23)
         state, m, power = random_reports(rng, 200, CFG8)
-        reports = [PowerStateVector(int(s), int(i), float(p))
-                   for s, i, p in zip(state, m, power)]
-        a = build_pddf(reports, CFG8)
-        b = build_pddf_from_arrays(state, m, power, CFG8)
+        a = build_pddf_from_arrays([int(s) for s in state], [int(i) for i in m],
+                                   [float(p) for p in power], CFG8)
+        b = build_pddf_from_arrays(state.astype(np.int8), m, power, CFG8)
         assert np.array_equal(a.phi0, b.phi0)
         assert np.array_equal(a.phi1, b.phi1)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            build_pddf([], CFG8)
+            build_pddf_from_arrays([], [], [], CFG8)
         with pytest.raises(ValueError):
             build_pddf_from_arrays(np.array([], dtype=int), np.array([], dtype=int),
                                    np.array([]), CFG8)
@@ -103,7 +104,7 @@ class TestBuildPddf:
 
 class TestCapacityFactor:
     def test_all_inactive(self):
-        pddf = build_pddf([PowerStateVector(0, 100, 4.0)], CFG1000)
+        pddf = pddf_of([(0, 100, 4.0)], CFG1000)
         assert capacity_factor(pddf) == 0.0
 
     def test_all_active(self):
@@ -114,8 +115,7 @@ class TestCapacityFactor:
         assert capacity_factor(pddf) == pytest.approx(1.0, abs=1e-12)
 
     def test_mixed_aggregate_demand(self):
-        reports = [PowerStateVector(1, 300, 4.0), PowerStateVector(0, 700, 6.0)]
-        pddf = build_pddf(reports, CFG1000)
+        pddf = pddf_of([(1, 300, 4.0), (0, 700, 6.0)], CFG1000)
         phi = capacity_factor(pddf)
         assert phi == pytest.approx(0.4, abs=1e-12)
         assert phi * pddf.installed_capacity == pytest.approx(4.0, abs=1e-12)
@@ -142,18 +142,18 @@ class TestCff:
 
     def test_saturated_low_mass(self):
         # all active mass at the bottom of the grid: everything stays on
-        pddf = build_pddf([PowerStateVector(1, 0, 4.0)], CFG1000)
+        pddf = pddf_of([(1, 0, 4.0)], CFG1000)
         for m_s in (375, 500, 625):
             assert cff(pddf, m_s, CFG1000) == pytest.approx(1.0, abs=1e-12)
 
     def test_saturated_high_mass(self):
         # all inactive mass at the top: nothing switches on
-        pddf = build_pddf([PowerStateVector(0, 1000, 4.0)], CFG1000)
+        pddf = pddf_of([(0, 1000, 4.0)], CFG1000)
         for m_s in (375, 500, 625):
             assert cff(pddf, m_s, CFG1000) == 0.0
 
     def test_out_of_range_rejected(self):
-        pddf = build_pddf([PowerStateVector(1, 500, 4.0)], CFG1000)
+        pddf = pddf_of([(1, 500, 4.0)], CFG1000)
         with pytest.raises(ValueError):
             cff(pddf, 374, CFG1000)
         with pytest.raises(ValueError):
@@ -179,7 +179,7 @@ class TestCff:
 
 class TestFeasibleRegion:
     def test_paper_resolution_bounds(self):
-        pddf = build_pddf([PowerStateVector(1, 500, 4.0)], CFG1000)
+        pddf = pddf_of([(1, 500, 4.0)], CFG1000)
         region = feasible_region(pddf, CFG1000)
         assert (region.ms_min, region.ms_max) == (375, 625)
 
@@ -264,7 +264,7 @@ class TestSelectSetpoint:
                 cfg.setpoint + decision.u
 
     def test_nonfinite_target_rejected(self):
-        pddf = build_pddf([PowerStateVector(1, 4, 4.0)], CFG8)
+        pddf = pddf_of([(1, 4, 4.0)], CFG8)
         with pytest.raises(ValueError):
             select_setpoint(pddf, float("nan"), CFG8)
 
@@ -301,8 +301,8 @@ class TestBoundaryCondition:
             assert capacity_factor(after) == capacity_factor(pddf)
 
     def test_mismatched_populations_rejected(self):
-        a = build_pddf([PowerStateVector(1, 4, 4.0)], CFG8)
-        b = build_pddf([PowerStateVector(1, 500, 5.0)], CFG1000)
+        a = pddf_of([(1, 4, 4.0)], CFG8)
+        b = pddf_of([(1, 500, 5.0)], CFG1000)
         with pytest.raises(ValueError):
             verify_boundary_condition(a, 4, b, CFG8)
 

@@ -159,6 +159,20 @@ def test_invalid_value_rejected_at_load(tmp_path, capsys, path, data):
     assert not (tmp_path / "w").exists() and not (tmp_path / "g").exists()
 
 
+@pytest.mark.parametrize("command", ["track", "wind"])
+def test_infeasible_fleet_exits_2(tmp_path, capsys, command):
+    # no draw of a constant cop of 0.1 can lift a unit across the deadband: the
+    # config is at fault, though only the fleet draw can find that out
+    config = write_config(tmp_path, {"population": {
+        "count": 10, "cop": {"dist": "constant", "value": 0.1}}})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: population: 10 parameter draws")
+    assert "resampling" in err
+    assert not out.exists()
+
+
 class TestIngestSeries:
     def make_file(self, tmp_path, rows, header="timestamp,wind_speed_mps,outdoor_temp_c"):
         path = tmp_path / "series.csv"

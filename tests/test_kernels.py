@@ -4,9 +4,12 @@ Each oracle below is the straightforward form of a kernel: per-interval
 constants recomputed, boolean-mask copies, nested selects, a csv.writer row
 per grid point or interval. The kernels in ``src/`` must produce the same bits for every
 input, so the golden bundles cannot move when a kernel is rewritten for speed.
+The duty cycle is compared with its scalar closed form to a relative 1e-12,
+because the oracle takes ``math.log`` where the kernel takes ``np.log``.
 """
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from heatfleet.aggregator import ControlDecision, build_pddf_from_arrays, max_cff_increment
-from heatfleet.building import thermal_constants, thermal_step
+from heatfleet.building import duty_cycle, thermal_constants, thermal_step
 from heatfleet.seriesio import (
     SERIES_HEADER,
     write_exogenous,
@@ -54,6 +57,23 @@ def thermal_oracle(theta, n, capacitance, resistance, rated_power, cop,
     tau = capacitance * resistance
     theta_eq = outdoor + n * cop * rated_power * resistance
     return theta_eq + (theta - theta_eq) * np.exp(-dt / tau) + noise
+
+
+def duty_cycle_oracle(capacitance, resistance, rated_power, cop, setpoint, deadband,
+                      outdoor_temp):
+    """One unit's steady duty cycle from the exact exponential trajectories."""
+    lo = setpoint - deadband / 2.0
+    hi = setpoint + deadband / 2.0
+    eq_off = outdoor_temp
+    eq_on = outdoor_temp + cop * rated_power * resistance
+    if eq_off >= lo:
+        return 0.0
+    if eq_on <= hi:
+        return 1.0
+    tau = capacitance * resistance
+    t_on = tau * math.log((eq_on - lo) / (eq_on - hi))
+    t_off = tau * math.log((hi - eq_off) / (lo - eq_off))
+    return t_on / (t_on + t_off)
 
 
 def max_cff_increment_oracle(pddf, cfg):
@@ -323,3 +343,50 @@ def test_csv_writers_take_integer_inputs(tmp_path):
     write_exogenous(tmp_path / "got.csv", [0, 1], np.array([3, 4]), [-0.0, 5])
     assert (tmp_path / "got.csv").read_bytes() == (
         b"timestamp,wind_speed_mps,outdoor_temp_c\r\n0.0,3.0,-0.0\r\n1.0,4.0,5.0\r\n")
+
+
+@st.composite
+def duty_fleets(draw):
+    """A fleet and an outdoor temperature that put the units on one duty-cycle
+    branch (off, always on, cycling) or spread them over the last two."""
+    cfg = draw(thermostats())
+    lo = cfg.setpoint - cfg.deadband / 2.0
+    hi = cfg.setpoint + cfg.deadband / 2.0
+    branch = draw(st.sampled_from(["off", "always_on", "cycling", "mixed"]))
+    size = draw(st.integers(1, 32))
+
+    def positive(low, high):
+        return draw(hnp.arrays(np.float64, size, elements=st.floats(low, high)))
+
+    capacitance, rated_power, cop = positive(0.05, 50.0), positive(0.1, 20.0), positive(1.0, 6.0)
+    if branch == "off":
+        # at or above the switch-on boundary, the boundary itself included
+        outdoor = lo + draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
+        resistance = positive(0.05, 50.0)
+    else:
+        outdoor = lo - draw(st.floats(1e-3, 40.0))
+        # the heating gain as a multiple of the lift to the switch-off boundary
+        ratio = {"always_on": (1e-3, 0.999), "cycling": (1.001, 1e3), "mixed": (1e-3, 1e3)}
+        resistance = positive(*ratio[branch]) * (hi - outdoor) / (cop * rated_power)
+    return branch, cfg, capacitance, resistance, rated_power, cop, outdoor
+
+
+@SETTINGS
+@given(duty_fleets())
+def test_duty_cycle_matches_scalar_closed_form(fleet):
+    branch, cfg, capacitance, resistance, rated_power, cop, outdoor = fleet
+    duty = duty_cycle(capacitance, resistance, rated_power, cop, cfg, outdoor)
+    assert duty.dtype == np.float64 and duty.shape == capacitance.shape
+    expected = [duty_cycle_oracle(*unit, cfg.setpoint, cfg.deadband, outdoor)
+                for unit in zip(capacitance, resistance, rated_power, cop)]
+    for got, want in zip(duty, expected):
+        if want in (0.0, 1.0):
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    if branch == "off":
+        assert (duty == 0.0).all()
+    elif branch == "always_on":
+        assert (duty == 1.0).all()
+    elif branch == "cycling":
+        assert ((duty > 0.0) & (duty < 1.0)).all()

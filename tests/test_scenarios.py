@@ -3,15 +3,18 @@
 import numpy as np
 import pytest
 
+from heatfleet.config import config_from_dict
+from heatfleet.engine import PopulationSpec, SimulationClock, run_simulation
+from heatfleet.errors import ConfigError
 from heatfleet.scenarios import (
     NominalLoadModel,
+    ScenarioInputs,
     SyntheticWeather,
     TrackingTarget,
     TurbineModel,
+    WindScenario,
     generate_weather,
-    nominal_load,
     power_gradient_density,
-    total_load,
     turbine_power,
     wind_target,
 )
@@ -60,16 +63,38 @@ class TestTurbine:
         assert turbine_power(12.0, TurbineModel(turbine_count=0)) == 0.0
 
 
+class FixedDraws:
+    """Stands in for the scenario generator: every standard normal draw is value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def standard_normal(self, size):
+        return np.full(size, self.value)
+
+
+def nominal_kw(rng, horizon=10, dt_minutes=60.0, start_hour=0.0, model=NominalLoadModel()):
+    """WindScenario.prepare's nominal load, one sample per interval from start_hour.
+
+    The weather is ingested, so rng feeds only the load fluctuations.
+    """
+    n = horizon + 1
+    scenario = WindScenario(TurbineModel(), model, (np.zeros(n), np.full(n, 4.0)),
+                            start_hour=start_hour)
+    return scenario.prepare(horizon, dt_minutes, rng).nominal_kw
+
+
 class TestNominalLoad:
     def test_zero_draw_gives_profile(self):
         model = NominalLoadModel()
-        assert nominal_load(2.0, 0.0, model) == model.profile(2.0)
+        hours = np.arange(11.0)
+        assert np.array_equal(nominal_kw(FixedDraws(0.0)), model.profile(hours))
 
     def test_off_peak_one_sigma(self):
         model = NominalLoadModel()
         # hours 0-5 sit at the off-peak level
-        assert nominal_load(2.0, 1.0, model) == pytest.approx(
-            model.off_peak_level * 1.10, rel=1e-12)
+        loads = nominal_kw(FixedDraws(1.0), horizon=5)
+        assert loads == pytest.approx(np.full(6, model.off_peak_level * 1.10), rel=1e-12)
 
     def test_fluctuation_sd_is_ten_percent_of_off_peak(self):
         model = NominalLoadModel(off_peak_level=1234.0)
@@ -77,18 +102,20 @@ class TestNominalLoad:
 
     def test_monte_carlo_sd(self):
         model = NominalLoadModel()
-        rng = np.random.default_rng(71)
-        draws = rng.standard_normal(100_000)
-        samples = np.array([nominal_load(2.0, float(d), model) for d in draws])
+        # 100 000 samples 0.06 s apart: all within the flat off-peak hours 0-5
+        samples = nominal_kw(np.random.default_rng(71), horizon=99_999, dt_minutes=0.001)
         assert np.std(samples, ddof=1) == pytest.approx(model.fluctuation_sd, rel=0.05)
 
     def test_floored_at_zero(self):
-        model = NominalLoadModel()
-        assert nominal_load(2.0, -100.0, model) == 0.0
+        assert (nominal_kw(FixedDraws(-100.0)) == 0.0).all()
 
     def test_time_of_day_validated(self):
-        with pytest.raises(ValueError):
-            nominal_load(24.0, 0.0, NominalLoadModel())
+        with pytest.raises(ConfigError, match="start_hour"):
+            config_from_dict({"scenario": "wind", "wind": {"start_hour": 24}})
+        # the time of day wraps past midnight onto the periodic profile
+        model = NominalLoadModel()
+        loads = nominal_kw(FixedDraws(0.0), horizon=2, start_hour=23.0)
+        assert np.array_equal(loads, model.profile(np.array([23.0, 0.0, 1.0])))
 
     def test_profile_periodic(self):
         model = NominalLoadModel()
@@ -111,19 +138,49 @@ class TestNominalLoad:
             NominalLoadModel(anchors=())
 
 
+class ConstantLoads:
+    """Uncontrolled scenario with a constant nominal load and wind generation."""
+
+    def __init__(self, nominal, wind):
+        self.nominal = nominal
+        self.wind = wind
+
+    def prepare(self, horizon, dt_minutes, rng):
+        n = horizon + 1
+        return ScenarioInputs(np.full(n, 4.0), np.full(n, self.nominal), np.full(n, self.wind))
+
+    def phi_target(self, ctx):
+        return None
+
+
+def total_load_run(nominal, wind):
+    return run_simulation(PopulationSpec(count=20, seed=5), ConstantLoads(nominal, wind),
+                          SimulationClock(1.0, 5))
+
+
 class TestTotalLoad:
     def test_arithmetic(self):
-        assert total_load(1000.0, 2000.0, 500.0) == 2500.0
+        series = total_load_run(1000.0, 500.0)
+        assert (series.nominal_kw == 1000.0).all() and (series.wind_kw == 500.0).all()
+        assert (series.heatpump_kw > 0.0).all()
+        assert np.array_equal(series.total_kw, 1000.0 + series.heatpump_kw - 500.0)
 
     def test_no_wind(self):
-        assert total_load(1200.0, 800.0, 0.0) == 2000.0
+        series = total_load_run(1200.0, 0.0)
+        assert np.array_equal(series.total_kw, 1200.0 + series.heatpump_kw)
 
     def test_export_sign(self):
-        assert total_load(0.0, 0.0, 5000.0) == -5000.0
+        series = total_load_run(0.0, 5000.0)
+        assert (series.total_kw < 0.0).all()
+        assert np.array_equal(series.total_kw, series.heatpump_kw - 5000.0)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            total_load(float("nan"), 0.0, 0.0)
+        with pytest.raises(ValueError, match="nominal_kw must be finite"):
+            total_load_run(float("nan"), 0.0)
+        with pytest.raises(ValueError, match="wind_kw must be finite"):
+            ScenarioInputs(np.zeros(3), np.zeros(3), np.array([0.0, np.inf, 0.0]))
+        with pytest.raises(ValueError, match="one length"):
+            ScenarioInputs(np.zeros(3), np.zeros(3), np.zeros(2))
 
 
 class TestWindTarget:
@@ -150,7 +207,7 @@ class TestWindTarget:
             l_now = float(rng.uniform(-2000.0, 8000.0))
             l_prev = float(rng.uniform(-2000.0, 8000.0))
             phi = wind_target(p_w, p_n, l_now, l_prev, p_cap)
-            achieved = total_load(p_n, p_cap * phi, p_w)
+            achieved = p_n + p_cap * phi - p_w
             assert achieved == pytest.approx(0.5 * (l_now + l_prev), abs=1e-9)
 
     def test_capacity_validated(self):

@@ -6,14 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heatfleet.building import BuildingParams, BuildingState
 from heatfleet.thermostat import (
-    PowerStateVector,
     ThermostatConfig,
     hysteresis_update,
     measurement_temperature,
     quantize,
-    report_power_state,
 )
 
 CFG_PAPER = ThermostatConfig(setpoint=20.0, deadband=1.0, resolution=1000)
@@ -144,32 +141,6 @@ class TestHysteresis:
             assert out[i] == hysteresis_update(int(n[i]), int(m[i]), 531, CFG_PAPER)
 
 
-class TestReport:
-    def test_composition(self):
-        params = BuildingParams(10.0, 2.0, 4.0, 3.5)
-        rep = report_power_state(BuildingState(20.0, 1), params, CFG_PAPER)
-        assert rep == PowerStateVector(1, 500, 4.0)
-
-    def test_clamped_report(self):
-        params = BuildingParams(10.0, 2.0, 4.0, 3.5)
-        rep = report_power_state(BuildingState(17.0, 0), params, CFG_PAPER)
-        assert rep.machine_state == 0
-        assert rep.temperature_index == 0
-
-    def test_population_reports_in_order(self):
-        rng = np.random.default_rng(2)
-        units = []
-        for _ in range(50):
-            params = BuildingParams(10.0, 2.0, float(rng.uniform(3, 5)), 3.5)
-            state = BuildingState(float(rng.uniform(19, 21)), int(rng.integers(0, 2)))
-            units.append((params, state))
-        reports = [report_power_state(s, p, CFG_PAPER) for p, s in units]
-        assert len(reports) == 50
-        for (params, state), rep in zip(units, reports):
-            assert rep.rated_power == params.rated_power
-            assert rep.machine_state == state.machine_state
-
-
 def test_config_invariants():
     with pytest.raises(ValueError):
         ThermostatConfig(resolution=1001)
@@ -189,11 +160,3 @@ def test_config_invariants():
         (4.0 / 128, 48, 80, 32)
     assert wider != cfg and hash(cfg) == hash(ThermostatConfig(21.0, 2.0, 64))
 
-
-def test_power_state_vector_invariants():
-    with pytest.raises(ValueError):
-        PowerStateVector(2, 10, 4.0)
-    with pytest.raises(ValueError):
-        PowerStateVector(1, -1, 4.0)
-    with pytest.raises(ValueError):
-        PowerStateVector(1, 10, 0.0)
