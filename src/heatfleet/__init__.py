@@ -40,7 +40,6 @@ from .scenarios import (
     ScenarioInputs,
     SyntheticWeather,
     TrackingScenario,
-    TrackingTarget,
     TurbineModel,
     WindScenario,
     power_gradient_density,

@@ -16,9 +16,9 @@ with this convention the prediction matches the realized capacity factor to
 floating-point roundoff.
 
 The capacity-factor function is nondecreasing in m_s, so the deviation
-minimization over the admissible integer interval is solved by monotone
-bisection; equal-deviation ties resolve to the index closest to R/2
-(least set-point disturbance).
+minimization over the admissible integer interval is a sorted search over
+the admissible CFF values; equal-deviation ties resolve to the index closest
+to R/2 (least set-point disturbance).
 """
 
 from __future__ import annotations
@@ -191,29 +191,6 @@ def feasible_region(pddf: PowerDensityPair, cfg: ThermostatConfig) -> FeasibleRe
     )
 
 
-def _leftmost_index(pddf: PowerDensityPair, cfg: ThermostatConfig,
-                    lo: int, hi: int, threshold: float, strict: bool) -> int:
-    """Smallest m_s in [lo, hi] with cff > threshold (strict) or >= (not strict).
-
-    Returns hi + 1 when no index qualifies. Valid because cff is
-    nondecreasing in m_s.
-    """
-    if strict:
-        ok = _cff_from_cums(pddf, hi, cfg) > threshold
-    else:
-        ok = _cff_from_cums(pddf, hi, cfg) >= threshold
-    if not ok:
-        return hi + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        value = _cff_from_cums(pddf, mid, cfg)
-        if (value > threshold) if strict else (value >= threshold):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def select_setpoint(pddf: PowerDensityPair, phi_target: float,
                     cfg: ThermostatConfig) -> ControlDecision:
     """Pick the admissible set-point index whose predicted Phi is closest to the target.
@@ -226,31 +203,18 @@ def select_setpoint(pddf: PowerDensityPair, phi_target: float,
     if not np.isfinite(phi_target):
         raise ValueError(f"phi_target must be finite, got {phi_target!r}")
     region = feasible_region(pddf, cfg)
-    lo, hi = region.ms_min, region.ms_max
-
-    first_ge = _leftmost_index(pddf, cfg, lo, hi, phi_target, strict=False)
-    if first_ge > hi:
-        # every achievable value is below the target: best value is cff(hi)
-        run_lo = _leftmost_index(pddf, cfg, lo, hi, region.phi_max, strict=False)
-        run_hi = hi
-    elif first_ge == lo:
-        # target at or below the lowest achievable value: best value is cff(lo)
-        run_lo = lo
-        run_hi = _leftmost_index(pddf, cfg, lo, hi, region.phi_min, strict=True) - 1
-    else:
-        below = _cff_from_cums(pddf, first_ge - 1, cfg)
-        above = _cff_from_cums(pddf, first_ge, cfg)
-        dev_below = (phi_target - below) ** 2
-        dev_above = (above - phi_target) ** 2
-        run_lo = run_hi = first_ge
-        if dev_below <= dev_above:
-            run_lo = _leftmost_index(pddf, cfg, lo, hi, below, strict=False)
-            if dev_below < dev_above:
-                run_hi = first_ge - 1
-            else:
-                run_hi = _leftmost_index(pddf, cfg, lo, hi, above, strict=True) - 1
-        else:
-            run_hi = _leftmost_index(pddf, cfg, lo, hi, above, strict=True) - 1
+    lo, hi, off = region.ms_min, region.ms_max, cfg.switch_offset
+    # cff over [lo, hi], entry by entry the same addition as _cff_from_cums
+    w = pddf._cum0[lo - off: hi - off + 1] + pddf._cum1[lo + off - 1: hi + off]
+    # w[k-1] < phi_target <= w[k]; both brackets collapse onto w[0] or w[-1] outside
+    k = int(np.searchsorted(w, phi_target, "left"))
+    below, above = float(w[max(k - 1, 0)]), float(w[min(k, w.size - 1)])
+    dev_below = (phi_target - below) ** 2
+    dev_above = (above - phi_target) ** 2
+    best_lo = below if dev_below <= dev_above else above
+    best_hi = above if dev_above <= dev_below else below
+    run_lo = lo + int(np.searchsorted(w, best_lo, "left"))
+    run_hi = lo + int(np.searchsorted(w, best_hi, "right")) - 1
 
     center = cfg.resolution // 2
     ms_star = min(max(center, run_lo), run_hi)
@@ -263,7 +227,7 @@ def select_setpoint(pddf: PowerDensityPair, phi_target: float,
         ms_star=ms_star,
         u=u,
         phi_target=float(phi_target),
-        phi_predicted=_cff_from_cums(pddf, ms_star, cfg),
+        phi_predicted=float(w[ms_star - lo]),
     )
 
 

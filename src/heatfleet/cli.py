@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import seriesio
-from .config import RunConfig, config_from_dict, load_raw, resolve_output_dir
+from .config import RunConfig, config_from_dict, load_raw
 from .errors import ConfigError, EngineError, SeriesError
 from .scenarios import power_gradient_density
 
@@ -121,8 +121,7 @@ def _cmd_gen_wind(args) -> int:
     from .runner import generate_wind_file
 
     config = _load(args, None)
-    path = generate_wind_file(config, args.out if args.out is not None
-                              else resolve_output_dir(config))
+    path = generate_wind_file(config, args.out)
     print(f"synthetic series written: {path}")
     return EXIT_OK
 

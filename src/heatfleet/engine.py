@@ -210,8 +210,8 @@ class SimulationClock:
     horizon: int = 400
 
     def __post_init__(self) -> None:
-        if not self.dt_minutes > 0.0:
-            raise ValueError(f"dt_minutes must be > 0, got {self.dt_minutes!r}")
+        if not (math.isfinite(self.dt_minutes) and self.dt_minutes > 0.0):
+            raise ValueError(f"dt_minutes must be finite and > 0, got {self.dt_minutes!r}")
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import __version__, seriesio
 from .config import RunConfig, resolve_output_dir
-from .engine import PopulationSpec, ScenarioSeries, run_simulation
+from .engine import PopulationSpec, ScenarioSeries, _streams, run_simulation
 from .scenarios import generate_weather, power_gradient_density
 
 __all__ = [
@@ -33,8 +33,7 @@ def build_population_spec(config: RunConfig) -> PopulationSpec:
 def _wind_weather(config: RunConfig):
     if config.wind.series_file is None:
         return config.wind.synthetic
-    series = seriesio.ingest_series(config.wind.series_file, config.clock)
-    return (series.wind_mps, series.outdoor_c)
+    return seriesio.ingest_series(config.wind.series_file, config.clock)
 
 
 def _diagnostic_sink(config: RunConfig, out_dir: Path, label: str):
@@ -99,7 +98,7 @@ def generate_wind_file(config: RunConfig, out_dir: Path | None = None) -> Path:
     """Emit a synthetic exogenous series covering the configured horizon."""
     out = Path(out_dir) if out_dir is not None else resolve_output_dir(config)
     clock = config.clock
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(3)[2])
+    rng = np.random.default_rng(_streams(config.seed)[2])
     t, wind, temp = generate_weather(config.wind.synthetic, clock.horizon + 1,
                                      clock.dt_minutes, rng)
     path = out / "exogenous_series.csv"

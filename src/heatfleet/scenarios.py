@@ -26,7 +26,6 @@ __all__ = [
     "TurbineModel",
     "NominalLoadModel",
     "SyntheticWeather",
-    "TrackingTarget",
     "ScenarioInputs",
     "IntervalContext",
     "TrackingScenario",
@@ -139,37 +138,6 @@ def wind_target(wind_next_kw: float, nominal_next_kw: float, load_now_kw: float,
         raise ValueError("installed_capacity_kw must be > 0")
     return (wind_next_kw - nominal_next_kw
             + 0.5 * (load_now_kw + load_prev_kw)) / installed_capacity_kw
-
-
-class TrackingTarget:
-    """Persistent stochastic tracking signal around a steady level.
-
-    Internally keeps a unit-variance AR(1) state z; each update scales it to
-    the requested fraction of the current feasible half-width and clamps the
-    result into the region.
-    """
-
-    def __init__(self, coefficient: float = 0.9, scale: float = 0.25):
-        if not 0.0 <= coefficient < 1.0:
-            raise ValueError(f"coefficient must be in [0, 1), got {coefficient!r}")
-        self.coefficient = coefficient
-        self.scale = scale
-        self.reset()
-
-    def reset(self) -> None:
-        """Return the AR(1) state to its start value, zero."""
-        self._z = 0.0
-
-    def update(self, phi_steady: float, rng_draw: float,
-               region: tuple[float, float]) -> float:
-        phi_lo, phi_hi = region
-        if phi_lo > phi_hi:
-            raise ValueError(f"empty region [{phi_lo}, {phi_hi}]")
-        c = self.coefficient
-        self._z = c * self._z + math.sqrt(1.0 - c * c) * rng_draw
-        half_width = 0.5 * (phi_hi - phi_lo)
-        raw = phi_steady + self.scale * half_width * self._z
-        return min(max(raw, phi_lo), phi_hi)
 
 
 def power_gradient_density(series, normalize: bool = True, bins: int = 101):
@@ -292,24 +260,34 @@ class IntervalContext:
 
 class TrackingScenario:
     """Fig.-1 style signal tracking: constant outdoor temperature, no wind or
-    nominal load, stochastic feasible target after the burn-in."""
+    nominal load, stochastic feasible target after the burn-in.
+
+    The target is a steady level (phi_steady, or the capacity factor at the
+    end of the burn-in) plus a unit-variance AR(1) state z scaled to
+    disturbance_scale times the current feasible half-width, clamped into
+    the feasible region.
+    """
 
     def __init__(self, outdoor_temp: float = 4.0, burn_in: int = 100,
                  phi_steady: float | None = None, ar_coefficient: float = 0.9,
                  disturbance_scale: float = 0.25):
         if burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+        if not 0.0 <= ar_coefficient < 1.0:
+            raise ValueError(f"ar_coefficient must be in [0, 1), got {ar_coefficient!r}")
         self.outdoor_temp_value = outdoor_temp
         self.burn_in = burn_in
         self.phi_steady = phi_steady
-        self._signal = TrackingTarget(ar_coefficient, disturbance_scale)
+        self.ar_coefficient = ar_coefficient
+        self.disturbance_scale = disturbance_scale
         self._steady: float | None = phi_steady
+        self._z = 0.0
 
     def prepare(self, horizon: int, dt_minutes: float,
                 rng: np.random.Generator) -> ScenarioInputs:
         # start every run from the constructor's state, so runs do not leak into each other
         self._steady = self.phi_steady
-        self._signal.reset()
+        self._z = 0.0
         return _constant_inputs(horizon, self.outdoor_temp_value)
 
     def phi_target(self, ctx: IntervalContext) -> float | None:
@@ -317,9 +295,14 @@ class TrackingScenario:
             return None
         if self._steady is None:
             self._steady = ctx.phi_now
-        draw = float(ctx.rng.standard_normal())
-        return self._signal.update(self._steady, draw,
-                                   (ctx.region.phi_min, ctx.region.phi_max))
+        lo, hi = ctx.region.phi_min, ctx.region.phi_max
+        if lo > hi:
+            raise ValueError(f"empty region [{lo}, {hi}]")
+        c = self.ar_coefficient
+        self._z = c * self._z + math.sqrt(1.0 - c * c) * float(ctx.rng.standard_normal())
+        half_width = 0.5 * (hi - lo)
+        raw = self._steady + self.disturbance_scale * half_width * self._z
+        return min(max(raw, lo), hi)
 
 
 class SaturationScenario:

@@ -4,6 +4,8 @@ Exogenous input is delimited text with the header
 ``timestamp,wind_speed_mps,outdoor_temp_c`` where timestamp is minutes from
 simulation start. Rows are held (zero-order) onto the thermostat interval
 grid; the file must cover the horizon plus one interval of foreknowledge.
+Every file read here fails on a non-numeric or non-finite field, naming its
+line.
 
 All numeric output is written with repr(), so values round-trip exactly and
 identical runs produce byte-identical files.
@@ -13,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ from .engine import ScenarioSeries, SimulationClock
 from .errors import SeriesError
 
 __all__ = [
-    "ExogenousSeries",
     "ingest_series",
     "write_exogenous",
     "write_series",
@@ -42,61 +42,62 @@ SERIES_HEADER = [
 ]
 
 
-@dataclass(frozen=True)
-class ExogenousSeries:
-    """Wind speed and outdoor temperature resampled onto the interval grid."""
-
-    timestamps_min: np.ndarray
-    wind_mps: np.ndarray
-    outdoor_c: np.ndarray
-
-
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def ingest_series(path, clock: SimulationClock) -> ExogenousSeries:
-    """Read and resample an exogenous series file for the given clock.
-
-    Requires strictly increasing timestamps starting at or before zero and
-    coverage through horizon * dt (horizon + 1 grid points, one step of
-    foreknowledge for the regulation target).
-    """
+def _read_csv(path, header=None) -> tuple[list[str], np.ndarray]:
+    """Read a delimited numeric file as (header, rows), rows a float array
+    of shape (lines, fields). Blank lines are skipped; a wrong header (when
+    one is given), field count, or a non-numeric or non-finite field fails
+    with the path and line number."""
     p = Path(path)
     if not p.is_file():
         raise SeriesError(f"series file not found: {p}")
     with p.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
+            found = next(reader)
         except StopIteration:
             raise SeriesError(f"{p}: empty file") from None
-        if [h.strip() for h in header] != EXOGENOUS_HEADER:
+        if header is not None and [h.strip() for h in found] != header:
             raise SeriesError(
-                f"{p}: expected header {','.join(EXOGENOUS_HEADER)}, "
-                f"got {','.join(header)}"
+                f"{p}: expected header {','.join(header)}, got {','.join(found)}"
             )
-        t, wind, temp = [], [], []
+        rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 3:
-                raise SeriesError(f"{p}:{lineno}: expected 3 fields, got {len(row)}")
+            if len(row) != len(found):
+                raise SeriesError(
+                    f"{p}:{lineno}: expected {len(found)} fields, got {len(row)}"
+                )
             try:
                 values = [float(x) for x in row]
             except ValueError:
                 raise SeriesError(f"{p}:{lineno}: non-numeric field in {row}") from None
-            if not all(np.isfinite(values)):
+            if not np.isfinite(values).all():
                 raise SeriesError(f"{p}:{lineno}: non-finite value in {row}")
-            t.append(values[0])
-            wind.append(values[1])
-            temp.append(values[2])
-    if not t:
+            rows.append(values)
+    return found, np.array(rows, dtype=float).reshape(len(rows), len(found))
+
+
+def ingest_series(path, clock: SimulationClock) -> tuple[np.ndarray, np.ndarray]:
+    """Read an exogenous series file and resample it onto the clock's grid
+    as (wind_mps, outdoor_c).
+
+    Requires strictly increasing timestamps starting at or before zero and
+    coverage through horizon * dt (horizon + 1 grid points, one step of
+    foreknowledge for the regulation target).
+    """
+    p = Path(path)
+    _, rows = _read_csv(p, EXOGENOUS_HEADER)
+    if not rows.size:
         raise SeriesError(f"{p}: no data rows")
-    ts = np.asarray(t)
+    ts, wind, temp = rows.T
     if (np.diff(ts) <= 0).any():
         raise SeriesError(f"{p}: timestamps must be strictly increasing")
-    if (np.asarray(wind) < 0).any():
+    if (wind < 0).any():
         raise SeriesError(f"{p}: wind speeds must be >= 0")
 
     samples = clock.horizon + 1
@@ -109,11 +110,7 @@ def ingest_series(path, clock: SimulationClock) -> ExogenousSeries:
             f"{grid[-1]} min ({clock.horizon} intervals plus one step of foreknowledge)"
         )
     idx = np.searchsorted(ts, grid, side="right") - 1
-    return ExogenousSeries(
-        timestamps_min=grid,
-        wind_mps=np.asarray(wind)[idx],
-        outdoor_c=np.asarray(temp)[idx],
-    )
+    return wind[idx], temp[idx]
 
 
 def _write_csv(path, header, columns) -> None:
@@ -148,29 +145,8 @@ def write_series(path, series: ScenarioSeries) -> None:
 
 def read_series(path) -> dict[str, np.ndarray]:
     """Read a series file back as column arrays keyed by header name."""
-    p = Path(path)
-    if not p.is_file():
-        raise SeriesError(f"series file not found: {p}")
-    with p.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SeriesError(f"{p}: empty file") from None
-        columns: dict[str, list[float]] = {name: [] for name in header}
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SeriesError(
-                    f"{p}:{lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            try:
-                for name, value in zip(header, row):
-                    columns[name].append(float(value))
-            except ValueError:
-                raise SeriesError(f"{p}:{lineno}: non-numeric field in {row}") from None
-    return {name: np.asarray(values) for name, values in columns.items()}
+    header, rows = _read_csv(path)
+    return dict(zip(header, rows.T))
 
 
 def write_histogram(path, bin_centers, heights) -> None:

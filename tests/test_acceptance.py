@@ -3,7 +3,7 @@
 Criteria (tolerances pinned here, not calibrated later):
   1. prediction/realization exactness <= 1e-12 on randomized populations
   2. index-space switching == exact-rational temperature-space rule
-  3. bisection optimizer == exhaustive scan, exact offset bound and identity
+  3. sorted-search optimizer == exhaustive scan, exact offset bound and identity
   4. tracking fidelity within the per-interval quantization floor
   5. saturation: feasible ceiling decays on average, system stays stable
   6. wind regulation: gradient filtering + two-interval smoothing identity
@@ -177,7 +177,7 @@ def test_criterion_3_optimizer_correctness():
         assert abs(decision.u) <= cfg.deadband / 4
         assert measurement_temperature(decision.ms_star, cfg) == \
             cfg.setpoint + decision.u
-    print("\nACCEPTANCE 3 PASS: bisection == exhaustive scan on 1000 instances, "
+    print("\nACCEPTANCE 3 PASS: sorted search == exhaustive scan on 1000 instances, "
           "|u| <= deadband/4 and the offset identity exact")
 
 

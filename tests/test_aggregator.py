@@ -386,18 +386,26 @@ def test_select_setpoint_is_exhaustive_argmin(fleet, data):
     r = cfg.resolution
     pddf = build_pddf_from_arrays(n, m, p, cfg)
     values = [cff(pddf, m_s, cfg) for m_s in admissible(r)]
-    # targets on a reachable value and midway between two put ties on both sides
+    # targets on a reachable value and midway between two put ties on both
+    # sides. Midway between two adjacent distinct values is an exact tie
+    # whenever both halves round alike: between the two lowest, and on either
+    # side of cff(R/2), where the tie decides whether R/2 itself is chosen
     i = data.draw(st.integers(0, len(values) - 1))
     j = data.draw(st.integers(0, len(values) - 1))
-    target = data.draw(st.sampled_from([
-        values[i], (values[i] + values[j]) / 2.0,
-        data.draw(st.floats(-0.5, 1.5)), -1.0, 2.0]))
-    decision = select_setpoint(pddf, target, cfg)
-    best = min(admissible(r), key=lambda s: ((target - values[s - 3 * r // 8]) ** 2,
-                                             abs(s - r // 2)))
-    assert decision.ms_star == best
-    assert decision.phi_predicted == values[best - 3 * r // 8]
-    assert (decision.ms_min, decision.ms_max) == (3 * r // 8, 5 * r // 8)
+    distinct = sorted(set(values))
+    c = distinct.index(values[r // 2 - 3 * r // 8])
+    ties = [(distinct[max(a, 0)] + distinct[min(a + 1, len(distinct) - 1)]) / 2.0
+            for a in (0, c - 1, c)]
+    for target in [values[i], (values[i] + values[j]) / 2.0, *ties,
+                   data.draw(st.floats(-0.5, 1.5)), -1.0, 2.0]:
+        decision = select_setpoint(pddf, target, cfg)
+        best = min(admissible(r), key=lambda s: ((target - values[s - 3 * r // 8]) ** 2,
+                                                 abs(s - r // 2)))
+        assert decision.ms_star == best
+        assert decision.phi_predicted == values[best - 3 * r // 8]
+        assert (decision.ms_min, decision.ms_max) == (3 * r // 8, 5 * r // 8)
+        assert (decision.phi_min, decision.phi_max) == (values[0], values[-1])
+        assert decision.u == cfg.deadband * (2.0 * best / r - 1.0)
 
 
 @PROPERTY_SETTINGS

@@ -275,4 +275,6 @@ def test_clock_validation():
     with pytest.raises(ValueError):
         SimulationClock(0.0, 10)
     with pytest.raises(ValueError):
+        SimulationClock(float("inf"), 10)
+    with pytest.raises(ValueError):
         SimulationClock(1.0, -1)

@@ -182,12 +182,12 @@ class TestIngestSeries:
     def test_constant_series_runs_turbine_at_rated(self, tmp_path):
         clock = SimulationClock(1.0, 50)
         rows = [f"{t},12.0,8.0" for t in range(0, 52)]
-        series = ingest_series(self.make_file(tmp_path, rows), clock)
-        assert len(series.wind_mps) == 51
+        wind, temp = ingest_series(self.make_file(tmp_path, rows), clock)
+        assert len(wind) == 51
         cfg = config_from_dict({"scenario": "wind"})
-        power = turbine_power(series.wind_mps, cfg.wind.turbine)
+        power = turbine_power(wind, cfg.wind.turbine)
         assert (power == 5000.0).all()
-        assert (series.outdoor_c == 8.0).all()
+        assert (temp == 8.0).all()
 
     def test_short_series_rejected_citing_foreknowledge(self, tmp_path):
         clock = SimulationClock(1.0, 50)
@@ -205,6 +205,12 @@ class TestIngestSeries:
         with pytest.raises(SeriesError, match="non-numeric"):
             ingest_series(self.make_file(tmp_path, rows), SimulationClock(1.0, 1))
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_rejected_on_its_line(self, tmp_path, value):
+        rows = ["0,10,8", f"1,10,{value}", "2,10,8"]
+        with pytest.raises(SeriesError, match=r"series\.csv:3: non-finite value"):
+            ingest_series(self.make_file(tmp_path, rows), SimulationClock(1.0, 1))
+
     def test_wrong_header_rejected(self, tmp_path):
         path = self.make_file(tmp_path, ["0,10,8"], header="time,wind,temp")
         with pytest.raises(SeriesError, match="expected header"):
@@ -218,9 +224,9 @@ class TestIngestSeries:
     def test_zero_order_hold_resampling(self, tmp_path):
         # samples every 2 minutes, grid every minute: values hold between rows
         rows = ["0,4.0,8.0", "2,6.0,9.0", "4,8.0,10.0"]
-        series = ingest_series(self.make_file(tmp_path, rows), SimulationClock(1.0, 3))
-        assert series.wind_mps.tolist() == [4.0, 4.0, 6.0, 6.0]
-        assert series.outdoor_c.tolist() == [8.0, 8.0, 9.0, 9.0]
+        wind, temp = ingest_series(self.make_file(tmp_path, rows), SimulationClock(1.0, 3))
+        assert wind.tolist() == [4.0, 4.0, 6.0, 6.0]
+        assert temp.tolist() == [8.0, 8.0, 9.0, 9.0]
 
     def test_write_read_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
@@ -229,20 +235,20 @@ class TestIngestSeries:
         temp = rng.uniform(-5, 15, 30)
         path = tmp_path / "out.csv"
         write_exogenous(path, t, wind, temp)
-        series = ingest_series(path, SimulationClock(1.0, 29))
-        assert np.array_equal(series.wind_mps, wind)
-        assert np.array_equal(series.outdoor_c, temp)
+        got_wind, got_temp = ingest_series(path, SimulationClock(1.0, 29))
+        assert np.array_equal(got_wind, wind)
+        assert np.array_equal(got_temp, temp)
 
     def test_generator_output_reingests_identically(self, tmp_path):
         cfg = config_from_dict({"scenario": "wind", "seed": 9,
                                 "clock": {"horizon": 40}})
         path = generate_wind_file(cfg, tmp_path)
-        series = ingest_series(path, SimulationClock(1.0, 40))
+        got_wind, got_temp = ingest_series(path, SimulationClock(1.0, 40))
         # regenerate with the same stream the runner used
         rng = np.random.default_rng(np.random.SeedSequence(9).spawn(3)[2])
         _, wind, temp = generate_weather(SyntheticWeather(), 41, 1.0, rng)
-        assert np.array_equal(series.wind_mps, wind)
-        assert np.array_equal(series.outdoor_c, temp)
+        assert np.array_equal(got_wind, wind)
+        assert np.array_equal(got_temp, temp)
 
 
 class TestCli:
@@ -316,6 +322,15 @@ class TestCli:
         hist = read_series(out / "gradient.csv")
         assert hist["density"].max() == 1.0
         assert hist["density"].sum() == 1.0
+
+    def test_gradient_of_non_finite_series_exits_3(self, tmp_path, capsys):
+        series_path = tmp_path / "holed.csv"
+        rows = ["k,P_L_kw"] + [f"{k},5.0" for k in range(5)] + ["5,nan", "6,5.0"]
+        series_path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "g"
+        assert main(["gradient", str(series_path), "--out", str(out)]) == 3
+        assert f"series error: {series_path}:7: non-finite value" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gen_wind_then_run_from_file(self, tmp_path):
         config = write_config(tmp_path, {"scenario": "wind", "seed": 21,

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
+from heatfleet.aggregator import FeasibleRegion
 from heatfleet.config import config_from_dict
 from heatfleet.engine import PopulationSpec, SimulationClock, run_simulation
 from heatfleet.errors import ConfigError
 from heatfleet.scenarios import (
+    IntervalContext,
     NominalLoadModel,
     ScenarioInputs,
     SyntheticWeather,
-    TrackingTarget,
+    TrackingScenario,
     TurbineModel,
     WindScenario,
     generate_weather,
@@ -69,8 +71,8 @@ class FixedDraws:
     def __init__(self, value):
         self.value = value
 
-    def standard_normal(self, size):
-        return np.full(size, self.value)
+    def standard_normal(self, size=None):
+        return self.value if size is None else np.full(size, self.value)
 
 
 def nominal_kw(rng, horizon=10, dt_minutes=60.0, start_hour=0.0, model=NominalLoadModel()):
@@ -215,31 +217,41 @@ class TestWindTarget:
             wind_target(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def tracking_target(scenario, draw, region, phi_now=0.5):
+    """One TrackingScenario.phi_target past the burn-in, with the normal draw fixed."""
+    ctx = IntervalContext(k=scenario.burn_in, phi_now=phi_now, phi_hold=phi_now,
+                          region=FeasibleRegion(0, 0, *region), installed_capacity=1.0,
+                          rng=FixedDraws(draw))
+    return scenario.phi_target(ctx)
+
+
 class TestTrackingTarget:
+    """The target signal TrackingScenario steers toward after its burn-in."""
+
     def test_zero_disturbance_returns_clamped_steady(self):
-        signal = TrackingTarget()
+        scenario = TrackingScenario(burn_in=0)
         for _ in range(5):
-            assert signal.update(0.5, 0.0, (0.3, 0.7)) == 0.5
-        assert signal.update(0.9, 0.0, (0.3, 0.7)) == 0.7
+            assert tracking_target(scenario, 0.0, (0.3, 0.7), phi_now=0.5) == 0.5
+        scenario = TrackingScenario(burn_in=0, phi_steady=0.9)
+        assert tracking_target(scenario, 0.0, (0.3, 0.7)) == 0.7
 
     def test_collapsed_region(self):
-        signal = TrackingTarget()
-        assert signal.update(0.5, 3.0, (0.42, 0.42)) == 0.42
+        assert tracking_target(TrackingScenario(burn_in=0), 3.0, (0.42, 0.42)) == 0.42
 
     def test_outputs_always_inside_region(self):
         rng = np.random.default_rng(79)
-        signal = TrackingTarget()
+        scenario = TrackingScenario(burn_in=0, phi_steady=0.5)
         for _ in range(10_000):
             lo = float(rng.uniform(0.0, 0.5))
             hi = lo + float(rng.uniform(0.0, 0.5))
-            out = signal.update(0.5, float(rng.standard_normal()), (lo, hi))
+            out = tracking_target(scenario, float(rng.standard_normal()), (lo, hi))
             assert lo <= out <= hi
 
     def test_invalid_region_rejected(self):
-        with pytest.raises(ValueError):
-            TrackingTarget().update(0.5, 0.0, (0.7, 0.3))
-        with pytest.raises(ValueError):
-            TrackingTarget(coefficient=1.0)
+        with pytest.raises(ValueError, match="empty region"):
+            tracking_target(TrackingScenario(burn_in=0), 0.0, (0.7, 0.3))
+        with pytest.raises(ValueError, match="ar_coefficient"):
+            TrackingScenario(ar_coefficient=1.0)
 
 
 class TestGradientDensity:
