@@ -23,6 +23,7 @@ to R/2 (least set-point disturbance).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -74,25 +75,30 @@ class PowerDensityPair:
             raise ValueError("installed_capacity must be > 0")
         if not self.grid_step > 0.0:
             raise ValueError("grid_step must be > 0")
-        self._set_densities(phi0, phi1)
+        self._set_densities(np.concatenate((phi0, phi1)))
 
     @classmethod
-    def _from_valid(cls, phi0: np.ndarray, phi1: np.ndarray, grid_step: float,
+    def _from_valid(cls, densities: np.ndarray, grid_step: float,
                     installed_capacity: float) -> "PowerDensityPair":
         """Construct without re-validating. The caller guarantees every
-        invariant __post_init__ checks: phi0 and phi1 are nonnegative 1-d
-        float arrays of one length >= 2, and both scalars are > 0."""
+        invariant __post_init__ checks: densities is the nonnegative 1-d
+        float array [phi0 | phi1] of even length >= 4, and both scalars
+        are > 0."""
         pair = object.__new__(cls)
         object.__setattr__(pair, "grid_step", grid_step)
         object.__setattr__(pair, "installed_capacity", installed_capacity)
-        pair._set_densities(phi0, phi1)
+        pair._set_densities(densities)
         return pair
 
-    def _set_densities(self, phi0: np.ndarray, phi1: np.ndarray) -> None:
-        object.__setattr__(self, "phi0", phi0)
-        object.__setattr__(self, "phi1", phi1)
-        object.__setattr__(self, "_cum0", np.cumsum(phi0 * self.grid_step))
-        object.__setattr__(self, "_cum1", np.cumsum(phi1 * self.grid_step))
+    def _set_densities(self, densities: np.ndarray) -> None:
+        # phi0 and phi1 are views of [phi0 | phi1]; scaling it once gives the
+        # same products, and each half's cumsum the same sequential sums
+        bins = densities.size // 2
+        fractions = densities * self.grid_step
+        object.__setattr__(self, "phi0", densities[:bins])
+        object.__setattr__(self, "phi1", densities[bins:])
+        object.__setattr__(self, "_cum0", fractions[:bins].cumsum())
+        object.__setattr__(self, "_cum1", fractions[bins:].cumsum())
 
     @property
     def resolution(self) -> int:
@@ -113,8 +119,7 @@ class FeasibleRegion(NamedTuple):
     phi_max: float
 
 
-@dataclass(frozen=True)
-class ControlDecision:
+class ControlDecision(NamedTuple):
     """Outcome of one set-point selection."""
 
     ms_min: int
@@ -145,16 +150,16 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
     p = np.asarray(rated_power, dtype=float)
     if n.size == 0:
         raise ValueError("cannot build a PDDF from zero reports")
-    if not (p > 0.0).all():  # also rejects NaN
+    if not p.min() > 0.0:  # min propagates NaN, so this also rejects NaN
         raise ValueError("all rated powers must be > 0")
-    if (m < 0).any() or (m > cfg.resolution).any():
+    if m.min() < 0 or m.max() > cfg.resolution:
         raise ValueError("temperature index outside [0, R]")
     p_cap = float(p.sum())
     bins = cfg.resolution + 1
     # one histogram over [off bins | on bins]; each bin still sums in unit order
     w = np.bincount((n != 0) * bins + m, weights=p, minlength=2 * bins)
     w /= p_cap * cfg.grid_step
-    return PowerDensityPair._from_valid(w[:bins], w[bins:], cfg.grid_step, p_cap)
+    return PowerDensityPair._from_valid(w, cfg.grid_step, p_cap)
 
 
 def capacity_factor(pddf: PowerDensityPair) -> float:
@@ -183,12 +188,8 @@ def cff(pddf: PowerDensityPair, m_s: int, cfg: ThermostatConfig) -> float:
 
 def feasible_region(pddf: PowerDensityPair, cfg: ThermostatConfig) -> FeasibleRegion:
     """Achievable next-interval capacity factors under the quarter-deadband limit."""
-    return FeasibleRegion(
-        ms_min=cfg.ms_min,
-        ms_max=cfg.ms_max,
-        phi_min=cff(pddf, cfg.ms_min, cfg),
-        phi_max=cff(pddf, cfg.ms_max, cfg),
-    )
+    lo, hi = cfg.ms_min, cfg.ms_max
+    return FeasibleRegion(lo, hi, cff(pddf, lo, cfg), cff(pddf, hi, cfg))
 
 
 def select_setpoint(pddf: PowerDensityPair, phi_target: float,
@@ -200,35 +201,27 @@ def select_setpoint(pddf: PowerDensityPair, phi_target: float,
     exactly midway); within it the index nearest R/2 is returned. Targets
     outside the feasible region clamp to the corresponding bound.
     """
-    if not np.isfinite(phi_target):
+    if not math.isfinite(phi_target):
         raise ValueError(f"phi_target must be finite, got {phi_target!r}")
     region = feasible_region(pddf, cfg)
     lo, hi, off = region.ms_min, region.ms_max, cfg.switch_offset
     # cff over [lo, hi], entry by entry the same addition as _cff_from_cums
     w = pddf._cum0[lo - off: hi - off + 1] + pddf._cum1[lo + off - 1: hi + off]
     # w[k-1] < phi_target <= w[k]; both brackets collapse onto w[0] or w[-1] outside
-    k = int(np.searchsorted(w, phi_target, "left"))
+    k = int(w.searchsorted(phi_target, "left"))
     below, above = float(w[max(k - 1, 0)]), float(w[min(k, w.size - 1)])
     dev_below = (phi_target - below) ** 2
     dev_above = (above - phi_target) ** 2
     best_lo = below if dev_below <= dev_above else above
     best_hi = above if dev_above <= dev_below else below
-    run_lo = lo + int(np.searchsorted(w, best_lo, "left"))
-    run_hi = lo + int(np.searchsorted(w, best_hi, "right")) - 1
+    run_lo = lo + int(w.searchsorted(best_lo, "left"))
+    run_hi = lo + int(w.searchsorted(best_hi, "right")) - 1
 
     center = cfg.resolution // 2
     ms_star = min(max(center, run_lo), run_hi)
     u = cfg.deadband * (2.0 * ms_star / cfg.resolution - 1.0)
-    return ControlDecision(
-        ms_min=region.ms_min,
-        ms_max=region.ms_max,
-        phi_min=region.phi_min,
-        phi_max=region.phi_max,
-        ms_star=ms_star,
-        u=u,
-        phi_target=float(phi_target),
-        phi_predicted=float(w[ms_star - lo]),
-    )
+    return ControlDecision(lo, hi, region.phi_min, region.phi_max, ms_star, u,
+                           float(phi_target), float(w[ms_star - lo]))
 
 
 def max_cff_increment(pddf: PowerDensityPair, cfg: ThermostatConfig) -> float:

@@ -103,6 +103,9 @@ def _cmd_wind(args) -> int:
 
 
 def _cmd_gradient(args) -> int:
+    if args.bins < 1 or args.bins % 2 == 0:  # before the series file is read
+        raise ConfigError(f"command line: --bins must be a positive odd integer, "
+                          f"got {args.bins}")
     columns = seriesio.read_series(args.series_file)
     if "P_L_kw" not in columns:
         raise SeriesError(f"{args.series_file}: no P_L_kw column")

@@ -308,7 +308,8 @@ class Simulation:
 
     inputs holds the scenario's exogenous ScenarioInputs for the run. columns
     maps each per-interval ScenarioSeries field the engine computes to an
-    array preallocated for the horizon; interval k fills entry k.
+    array preallocated for the horizon; interval k fills entry k. The float
+    columns are the rows of one block, so an interval writes them at once.
     """
 
     def __init__(self, population: Population, scenario, clock: SimulationClock,
@@ -323,7 +324,8 @@ class Simulation:
         self.k = 0
         self._prev_switched = np.zeros(len(population), dtype=bool)
         n = clock.horizon
-        self.columns = {name: np.empty(n) for name in _FLOAT_COLUMNS}
+        self._floats = np.empty((len(_FLOAT_COLUMNS), n))
+        self.columns = dict(zip(_FLOAT_COLUMNS, self._floats))
         self.columns.update({name: np.empty(n, dtype=np.int64) for name in _INT_COLUMNS})
         self.columns["controlled"] = np.empty(n, dtype=bool)
         # per-run constants: the fleet's parameters never change during a run
@@ -405,20 +407,16 @@ class Simulation:
                 f"deviates from prediction {decision.phi_predicted!r}"
             )
         heatpump_kw = self._installed_capacity * phi_realized
-        cols["heatpump_kw"][k] = heatpump_kw
-        total_kw[k] = nominal_kw + heatpump_kw - wind_kw
-        cols["phi"][k] = phi_realized
-        cols["phi_target"][k] = decision.phi_target
-        cols["u"][k] = decision.u
-        cols["phi_min"][k] = decision.phi_min
-        cols["phi_max"][k] = decision.phi_max
-        cols["mean_theta"][k] = pop.indoor_temp.mean()
-        cols["phi_predicted"][k] = decision.phi_predicted
-        cols["quantization_floor"][k] = (self._max_rated_power / self._installed_capacity
-                                         + aggregator.max_cff_increment(pddf, cfg))
+        # one row per name of _FLOAT_COLUMNS, in its order; sum/size is ndarray.mean
+        self._floats[:, k] = (
+            heatpump_kw, nominal_kw + heatpump_kw - wind_kw, phi_realized,
+            decision.phi_target, decision.u, decision.phi_min, decision.phi_max,
+            pop.indoor_temp.sum() / pop.indoor_temp.size, decision.phi_predicted,
+            self._max_rated_power / self._installed_capacity
+            + aggregator.max_cff_increment(pddf, cfg),
+            min_theta, max_theta,
+        )
         cols["controlled"][k] = controlled
-        cols["min_theta"][k] = min_theta
-        cols["max_theta"][k] = max_theta
         cols["switch_count"][k] = np.count_nonzero(switched)
         cols["rapid_cycle_count"][k] = np.count_nonzero(switched & self._prev_switched)
         cols["ms_star"][k] = decision.ms_star

@@ -82,8 +82,10 @@ class TestBuildPddf:
                                    np.array([]), CFG8)
 
     def test_index_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            build_pddf_from_arrays(np.array([1]), np.array([9]), np.array([4.0]), CFG8)
+        # an on-state unit at -1 would land in the last off bin if not rejected
+        for index in (9, -1):
+            with pytest.raises(ValueError, match="outside"):
+                build_pddf_from_arrays(np.array([1]), np.array([index]), np.array([4.0]), CFG8)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
     def test_nonpositive_or_nan_power_rejected(self, bad):

@@ -1,9 +1,11 @@
 """Engine tests: population generation, interval protocol, determinism."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heatfleet.aggregator import capacity_factor, build_pddf_from_arrays
 from heatfleet.engine import (
@@ -278,3 +280,63 @@ def test_clock_validation():
         SimulationClock(float("inf"), 10)
     with pytest.raises(ValueError):
         SimulationClock(1.0, -1)
+
+
+def quantize_scalar(theta, cfg):
+    """One unit's grid index: nearest, halves away from zero, clamped to [0, R]."""
+    x = (theta - cfg.setpoint + cfg.deadband) / cfg.grid_step
+    m = math.floor(x + 0.5) if x >= 0.0 else math.ceil(x - 0.5)
+    return min(max(m, 0), cfg.resolution)
+
+
+def switch_scalar(n, m, ms_star, cfg):
+    """One unit's deadband rule: on at or below ms - R/4, off at or above ms + R/4."""
+    if m <= ms_star - cfg.switch_offset:
+        return 1
+    if m >= ms_star + cfg.switch_offset:
+        return 0
+    return n
+
+
+@st.composite
+def whole_runs(draw):
+    """A tracking run of up to 64 identical units, so that many units share bins."""
+    cfg = ThermostatConfig(20.0, draw(st.floats(0.2, 3.0)), 8 * draw(st.integers(1, 32)))
+    lo = cfg.setpoint - cfg.deadband / 2.0
+    # at or above lo duty_cycle returns 0 for every unit; below it the units cycle
+    outdoor = draw(st.one_of(st.floats(lo, cfg.setpoint + cfg.deadband),
+                             st.floats(-5.0, lo, exclude_max=True)))
+    spec = degenerate_spec(
+        count=draw(st.integers(1, 64)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        capacitance=ParameterDist.constant(draw(st.floats(0.5, 5.0))),
+        # a heating gain cop*P*R >= 3*3*3.5 = 31.5 clears the lift the spec needs
+        resistance=ParameterDist.constant(draw(st.floats(3.0, 5.0))),
+        rated_power=ParameterDist.constant(draw(st.floats(3.0, 5.0))),
+        thermostat=cfg,
+        initial_outdoor_temp=outdoor,
+        process_noise_sd=draw(st.sampled_from([0.0, 0.01])),
+    )
+    clock = SimulationClock(draw(st.floats(0.1, 30.0)), draw(st.integers(1, 30)))
+    return spec, clock
+
+
+@settings(max_examples=150, deadline=None)
+@given(whole_runs())
+def test_whole_run_invariants(run):
+    spec, clock = run
+    pop = generate_population(spec)
+    cfg = pop.thermostat
+    sim = Simulation(pop, TrackingScenario(spec.initial_outdoor_temp, burn_in=0), clock,
+                     noise_seed=1, scenario_seed=2)
+    for k in range(clock.horizon):
+        before = pop.machine_state.tolist()
+        sim.run_interval()
+        ms_star = int(sim.columns["ms_star"][k])
+        expected = [switch_scalar(n, quantize_scalar(theta, cfg), ms_star, cfg)
+                    for n, theta in zip(before, pop.indoor_temp.tolist())]
+        assert pop.machine_state.tolist() == expected
+    series = sim.series()
+    identity = series.nominal_kw + series.heatpump_kw - series.wind_kw
+    assert series.total_kw.tobytes() == identity.tobytes()
+    assert ((series.phi >= 0.0) & (series.phi <= 1.0)).all()

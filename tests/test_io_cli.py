@@ -332,6 +332,20 @@ class TestCli:
         assert f"series error: {series_path}:7: non-finite value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("bins", [100, 0, -3])
+    def test_gradient_invalid_bins_exits_2(self, tmp_path, capsys, bins):
+        series_path = tmp_path / "flat.csv"
+        rows = ["k,P_L_kw"] + [f"{k},5.0" for k in range(5)]
+        series_path.write_text("\n".join(rows) + "\n")
+        message = f"config error: command line: --bins must be a positive odd integer, got {bins}"
+        out = tmp_path / "g"
+        assert main(["gradient", str(series_path), "--out", str(out), "--bins", str(bins)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "gradient.csv").exists()
+        # the option is checked before the series file is read
+        assert main(["gradient", str(tmp_path / "missing.csv"), "--bins", str(bins)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_gen_wind_then_run_from_file(self, tmp_path):
         config = write_config(tmp_path, {"scenario": "wind", "seed": 21,
                                          "clock": {"horizon": 30},

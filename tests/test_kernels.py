@@ -17,7 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from heatfleet.aggregator import ControlDecision, build_pddf_from_arrays, max_cff_increment
+from heatfleet.aggregator import (
+    ControlDecision,
+    build_pddf_from_arrays,
+    capacity_factor,
+    cff,
+    max_cff_increment,
+)
 from heatfleet.building import duty_cycle, thermal_constants, thermal_step
 from heatfleet.seriesio import (
     SERIES_HEADER,
@@ -202,16 +208,24 @@ def test_single_bincount_pddf_matches_masked_oracle(fleet):
     assert same_bits(pddf.phi1, phi1)
     assert pddf.installed_capacity == float(p.sum())
     assert same_bits(max_cff_increment(pddf, cfg), max_cff_increment_oracle(pddf, cfg))
+    # the cumulative sums are only pinned through what reads them
+    cum0, cum1 = np.cumsum(phi0 * cfg.grid_step), np.cumsum(phi1 * cfg.grid_step)
+    lo, hi, off = cfg.ms_min, cfg.ms_max, cfg.switch_offset
+    window = [cff(pddf, m_s, cfg) for m_s in range(lo, hi + 1)]
+    assert same_bits(window, cum0[lo - off: hi - off + 1] + cum1[lo + off - 1: hi + off])
+    assert same_bits(capacity_factor(pddf), cum1[-1])
+    assert same_bits(pddf.total_mass(), cum0[-1] + cum1[-1])
 
 
 def test_single_unit_pddf_matches_oracle():
     cfg = ThermostatConfig(resolution=8)
     for state in (0, 1):
-        n = np.array([state], dtype=np.int8)
-        m, p = np.array([3]), np.array([4.2])
-        pddf = build_pddf_from_arrays(n, m, p, cfg)
-        phi0, phi1 = pddf_oracle(n, m, p, cfg)
-        assert same_bits(pddf.phi0, phi0) and same_bits(pddf.phi1, phi1)
+        for index in (0, 3, cfg.resolution):  # both grid ends are valid reports
+            n = np.array([state], dtype=np.int8)
+            m, p = np.array([index]), np.array([4.2])
+            pddf = build_pddf_from_arrays(n, m, p, cfg)
+            phi0, phi1 = pddf_oracle(n, m, p, cfg)
+            assert same_bits(pddf.phi0, phi0) and same_bits(pddf.phi1, phi1)
 
 
 @SETTINGS
