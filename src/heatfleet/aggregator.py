@@ -45,7 +45,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no truth value: identity equality
 class PowerDensityPair:
     """Discrete PDDFs over the measurement grid.
 
@@ -59,8 +59,8 @@ class PowerDensityPair:
     grid_step: float
     installed_capacity: float
     # cumulative capacity fractions, cached for O(1) CFF evaluation
-    _cum0: np.ndarray = field(init=False, repr=False, compare=False)
-    _cum1: np.ndarray = field(init=False, repr=False, compare=False)
+    _cum0: np.ndarray = field(init=False, repr=False)
+    _cum1: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         phi0 = np.asarray(self.phi0, dtype=float)
@@ -92,12 +92,13 @@ class PowerDensityPair:
 
     def _set_densities(self, densities: np.ndarray) -> None:
         # phi0 and phi1 are views of [phi0 | phi1]; scaling it once gives the
-        # same products, and each half's cumsum the same sequential sums
+        # same products, and each cumsum the same sequential sums; the off
+        # half's stops at 3R/8, the last index cff and select_setpoint read
         bins = densities.size // 2
         fractions = densities * self.grid_step
         object.__setattr__(self, "phi0", densities[:bins])
         object.__setattr__(self, "phi1", densities[bins:])
-        object.__setattr__(self, "_cum0", fractions[:bins].cumsum())
+        object.__setattr__(self, "_cum0", fractions[:3 * (bins - 1) // 8 + 1].cumsum())
         object.__setattr__(self, "_cum1", fractions[bins:].cumsum())
 
     @property
@@ -107,7 +108,7 @@ class PowerDensityPair:
 
     def total_mass(self) -> float:
         """sum (phi0 + phi1) * grid_step; 1.0 for any PDDF built from reports."""
-        return float(self._cum0[-1] + self._cum1[-1])
+        return float(np.cumsum(self.phi0 * self.grid_step)[-1] + self._cum1[-1])
 
 
 class FeasibleRegion(NamedTuple):
@@ -150,11 +151,11 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
     p = np.asarray(rated_power, dtype=float)
     if n.size == 0:
         raise ValueError("cannot build a PDDF from zero reports")
-    if not p.min() > 0.0:  # min propagates NaN, so this also rejects NaN
+    if not np.minimum.reduce(p) > 0.0:  # NaN propagates, so NaN is rejected too
         raise ValueError("all rated powers must be > 0")
-    if m.min() < 0 or m.max() > cfg.resolution:
+    if np.minimum.reduce(m) < 0 or np.maximum.reduce(m) > cfg.resolution:
         raise ValueError("temperature index outside [0, R]")
-    p_cap = float(p.sum())
+    p_cap = float(np.add.reduce(p))
     bins = cfg.resolution + 1
     # one histogram over [off bins | on bins]; each bin still sums in unit order
     w = np.bincount((n != 0) * bins + m, weights=p, minlength=2 * bins)

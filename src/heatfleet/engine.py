@@ -113,7 +113,7 @@ class PopulationSpec:
             raise ValueError(f"process_noise_sd must be >= 0, got {self.process_noise_sd!r}")
 
 
-@dataclass
+@dataclass(eq=False)  # arrays have no truth value: identity equality
 class Population:
     """Vectorized fleet state: one entry per unit in each parameter and state array."""
 
@@ -220,7 +220,7 @@ class SimulationClock:
         return self.dt_minutes / 60.0
 
 
-@dataclass
+@dataclass(eq=False)  # arrays have no truth value: identity equality
 class ScenarioSeries:
     """Per-interval records of one run plus fleet-level constants.
 
@@ -354,8 +354,8 @@ class Simulation:
             noise = 0.0
         pop.indoor_temp = thermal_step(pop.indoor_temp, pop.machine_state,
                                        self._decay, self._lift, outdoor, noise)
-        min_theta = float(pop.indoor_temp.min())
-        max_theta = float(pop.indoor_temp.max())
+        min_theta = float(np.minimum.reduce(pop.indoor_temp))
+        max_theta = float(np.maximum.reduce(pop.indoor_temp))
         if not (math.isfinite(min_theta) and math.isfinite(max_theta)):
             unit = int(np.flatnonzero(~np.isfinite(pop.indoor_temp))[0])
             raise EngineError(f"interval {k}: indoor temperature of unit {unit} "
@@ -399,7 +399,7 @@ class Simulation:
         pop.machine_state = n_new
 
         # (7) realized aggregate and bookkeeping
-        phi_realized = float(np.compress(n_new.view(bool), pop.rated_power).sum()
+        phi_realized = float(np.add.reduce(pop.rated_power.compress(n_new.view(bool)))
                              / self._installed_capacity)
         if abs(phi_realized - decision.phi_predicted) > 1e-9:
             raise EngineError(
@@ -411,7 +411,7 @@ class Simulation:
         self._floats[:, k] = (
             heatpump_kw, nominal_kw + heatpump_kw - wind_kw, phi_realized,
             decision.phi_target, decision.u, decision.phi_min, decision.phi_max,
-            pop.indoor_temp.sum() / pop.indoor_temp.size, decision.phi_predicted,
+            np.add.reduce(pop.indoor_temp) / pop.indoor_temp.size, decision.phi_predicted,
             self._max_rated_power / self._installed_capacity
             + aggregator.max_cff_increment(pddf, cfg),
             min_theta, max_theta,

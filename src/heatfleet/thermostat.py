@@ -90,8 +90,9 @@ def quantize(theta_a, cfg: ThermostatConfig):
     x /= cfg.grid_step
     # floor(x + 0.5) is half away from zero for x >= 0; every x < 0 clamps to 0
     x += 0.5
-    m = np.clip(np.floor(x, out=x), 0, cfg.resolution, out=x).astype(np.int64)
-    return int(m) if np.ndim(theta_a) == 0 else m
+    # ndarray.clip is what np.clip calls, minus its dispatch; one pass over x
+    m = np.floor(x, out=x).clip(0.0, cfg.resolution, out=x).astype(np.int64)
+    return int(m) if x.ndim == 0 else m
 
 
 def measurement_temperature(m: int, cfg: ThermostatConfig) -> float:
@@ -116,4 +117,4 @@ def hysteresis_update(n, m, m_s: int, cfg: ThermostatConfig):
     upper = m_s + cfg.switch_offset
     m_arr = np.asarray(m)
     n_new = ((m_arr <= lower) | ((m_arr < upper) & (np.asarray(n) != 0))).view(np.int8)
-    return int(n_new) if np.ndim(m) == 0 else n_new
+    return int(n_new) if m_arr.ndim == 0 else n_new

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heatfleet.aggregator import capacity_factor, build_pddf_from_arrays
+from heatfleet.aggregator import PowerDensityPair, build_pddf_from_arrays, capacity_factor
 from heatfleet.engine import (
     ParameterDist,
     PopulationSpec,
@@ -262,6 +262,24 @@ class TestRunSimulation:
                                 SimulationClock(1.0, 80))
         assert (np.abs(series.u) <= 0.25).all()
         assert (series.ms_star >= 375).all() and (series.ms_star <= 625).all()
+
+
+def test_array_dataclasses_compare_by_identity():
+    # a field-wise == would ask an array for its truth value and raise
+    phi = np.linspace(0.0, 1.0, 9)
+    spec = degenerate_spec(count=4, process_noise_sd=0.01)
+    clock = SimulationClock(1.0, 3)
+    pairs = [
+        (PowerDensityPair(phi, phi, 0.25, 4.0),
+         PowerDensityPair(phi.copy(), phi.copy(), 0.25, 4.0)),
+        (generate_population(spec), generate_population(spec)),
+        (run_simulation(spec, TrackingScenario(), clock),
+         run_simulation(spec, TrackingScenario(), clock)),
+    ]
+    for a, b in pairs:
+        assert (a == b) is False and (a != b) is True
+        assert a == a and b == b
+        assert len({a, b, a}) == 2
 
 
 def test_report_arrays_equal_quantized_state():

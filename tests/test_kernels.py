@@ -19,6 +19,7 @@ from hypothesis.extra import numpy as hnp
 
 from heatfleet.aggregator import (
     ControlDecision,
+    PowerDensityPair,
     build_pddf_from_arrays,
     capacity_factor,
     cff,
@@ -226,6 +227,25 @@ def test_single_unit_pddf_matches_oracle():
             pddf = build_pddf_from_arrays(n, m, p, cfg)
             phi0, phi1 = pddf_oracle(n, m, p, cfg)
             assert same_bits(pddf.phi0, phi0) and same_bits(pddf.phi1, phi1)
+
+
+@SETTINGS
+@given(st.data())
+def test_validated_pair_cums_match_full_cumsum_oracle(data):
+    # the off-half sums stop at 3R/8; the smallest grids put that index next
+    # to the cut, and total_mass must still sum the whole off half
+    cfg = ThermostatConfig(resolution=data.draw(st.sampled_from([8, 16])))
+    densities = hnp.arrays(np.float64, cfg.resolution + 1,
+                           elements=st.floats(0.0, 1e6, allow_subnormal=False))
+    phi0, phi1 = data.draw(densities), data.draw(densities)
+    step = data.draw(st.sampled_from([cfg.grid_step, 0.1, 1.0, 3.0]))
+    pddf = PowerDensityPair(phi0, phi1, step, 7.5)
+    cum0, cum1 = np.cumsum(phi0 * step), np.cumsum(phi1 * step)
+    lo, hi, off = cfg.ms_min, cfg.ms_max, cfg.switch_offset
+    window = [cff(pddf, m_s, cfg) for m_s in range(lo, hi + 1)]
+    assert same_bits(window, cum0[lo - off: hi - off + 1] + cum1[lo + off - 1: hi + off])
+    assert same_bits(capacity_factor(pddf), cum1[-1])
+    assert same_bits(pddf.total_mass(), cum0[-1] + cum1[-1])
 
 
 @SETTINGS
