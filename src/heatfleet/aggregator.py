@@ -58,9 +58,9 @@ class PowerDensityPair:
     phi1: np.ndarray
     grid_step: float
     installed_capacity: float
-    # cumulative capacity fractions, cached for O(1) CFF evaluation
-    _cum0: np.ndarray = field(init=False, repr=False)
+    # on-half cumulative capacity fractions, and the CFF over [3R/8, 5R/8]
     _cum1: np.ndarray = field(init=False, repr=False)
+    _window: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         phi0 = np.asarray(self.phi0, dtype=float)
@@ -92,14 +92,20 @@ class PowerDensityPair:
 
     def _set_densities(self, densities: np.ndarray) -> None:
         # phi0 and phi1 are views of [phi0 | phi1]; scaling it once gives the
-        # same products, and each cumsum the same sequential sums; the off
-        # half's stops at 3R/8, the last index cff and select_setpoint read
+        # same products, and each cumsum the same sequential sums. Entry i of
+        # the window is the CFF at m_s = 3R/8 + i, cum0[m_s - R/4] +
+        # cum1[m_s + R/4 - 1], so the off half's sum stops at 3R/8. The window
+        # is empty for R < 8; cff's resolution check keeps every R outside 8Z
+        # away from it.
         bins = densities.size // 2
+        e = (bins - 1) // 8  # R/8
         fractions = densities * self.grid_step
+        cum0 = fractions[:3 * e + 1].cumsum()
+        cum1 = fractions[bins:].cumsum()
         object.__setattr__(self, "phi0", densities[:bins])
         object.__setattr__(self, "phi1", densities[bins:])
-        object.__setattr__(self, "_cum0", fractions[:3 * (bins - 1) // 8 + 1].cumsum())
-        object.__setattr__(self, "_cum1", fractions[bins:].cumsum())
+        object.__setattr__(self, "_cum1", cum1)
+        object.__setattr__(self, "_window", cum0[e:] + cum1[5 * e - 1: 7 * e])
 
     @property
     def resolution(self) -> int:
@@ -142,13 +148,16 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
                            cfg: ThermostatConfig) -> PowerDensityPair:
     """Vectorized PDDF construction from aligned report arrays.
 
-    The checks below (at least one report, every rated power > 0, every
-    index in [0, R]) imply every invariant PowerDensityPair validates, so
-    the pair is built without validating it again.
+    The checks below (1-d reports, at least one, every rated power > 0,
+    every index in [0, R]) imply every invariant PowerDensityPair
+    validates, so the pair is built without validating it again.
     """
     n = np.asarray(machine_state)
     m = np.asarray(temperature_index)
     p = np.asarray(rated_power, dtype=float)
+    if not n.ndim == m.ndim == p.ndim == 1:
+        raise ValueError("report arrays must be 1-d, got shapes "
+                         f"{n.shape}, {m.shape} and {p.shape}")
     if n.size == 0:
         raise ValueError("cannot build a PDDF from zero reports")
     if not np.minimum.reduce(p) > 0.0:  # NaN propagates, so NaN is rejected too
@@ -168,12 +177,6 @@ def capacity_factor(pddf: PowerDensityPair) -> float:
     return float(pddf._cum1[-1])
 
 
-def _cff_from_cums(pddf: PowerDensityPair, m_s: int, cfg: ThermostatConfig) -> float:
-    eps_minus = m_s - cfg.switch_offset
-    eps_plus = m_s + cfg.switch_offset
-    return float(pddf._cum0[eps_minus] + pddf._cum1[eps_plus - 1])
-
-
 def cff(pddf: PowerDensityPair, m_s: int, cfg: ThermostatConfig) -> float:
     """Capacity-factor function: predicted next-interval Phi for set-point index m_s."""
     if pddf.resolution != cfg.resolution:
@@ -184,7 +187,7 @@ def cff(pddf: PowerDensityPair, m_s: int, cfg: ThermostatConfig) -> float:
         raise ValueError(
             f"set-point index {m_s} outside admissible [{cfg.ms_min}, {cfg.ms_max}]"
         )
-    return _cff_from_cums(pddf, m_s, cfg)
+    return float(pddf._window[m_s - cfg.ms_min])
 
 
 def feasible_region(pddf: PowerDensityPair, cfg: ThermostatConfig) -> FeasibleRegion:
@@ -205,9 +208,7 @@ def select_setpoint(pddf: PowerDensityPair, phi_target: float,
     if not math.isfinite(phi_target):
         raise ValueError(f"phi_target must be finite, got {phi_target!r}")
     region = feasible_region(pddf, cfg)
-    lo, hi, off = region.ms_min, region.ms_max, cfg.switch_offset
-    # cff over [lo, hi], entry by entry the same addition as _cff_from_cums
-    w = pddf._cum0[lo - off: hi - off + 1] + pddf._cum1[lo + off - 1: hi + off]
+    lo, hi, w = region.ms_min, region.ms_max, pddf._window
     # w[k-1] < phi_target <= w[k]; both brackets collapse onto w[0] or w[-1] outside
     k = int(w.searchsorted(phi_target, "left"))
     below, above = float(w[max(k - 1, 0)]), float(w[min(k, w.size - 1)])

@@ -3,8 +3,8 @@
 Subcommands:
     track      run the signal-tracking scenario
     wind       run the paired wind-regulation experiment (controlled + uncontrolled)
-    gradient   post-process an existing series file into a power-gradient histogram
     gen-wind   emit a synthetic wind-speed / outdoor-temperature series
+    gradient   post-process an existing series file into a power-gradient histogram
 
 Exit codes: 0 success, 1 unexpected error, 2 configuration error,
 3 series-input error, 4 simulation error.
@@ -17,7 +17,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from . import seriesio
+from . import runner, seriesio
 from .config import RunConfig, config_from_dict, load_raw
 from .errors import ConfigError, EngineError, SeriesError
 from .scenarios import power_gradient_density
@@ -29,14 +29,28 @@ EXIT_SERIES = 3
 EXIT_ENGINE = 4
 
 
+# subcommand -> (scenario, runner function, message, help); the subcommand
+# decides the scenario before defaults resolve, so a bare `wind` or
+# `gen-wind` gets the wind-scale population and horizon
+RUNS = {
+    "track": ("tracking", runner.write_tracking_outputs, "tracking run complete",
+              "run the signal-tracking scenario"),
+    "wind": ("wind", runner.write_wind_outputs,
+             "wind run complete (controlled + uncontrolled)",
+             "run the paired wind-regulation experiment"),
+    "gen-wind": ("wind", runner.generate_wind_file, "synthetic series written",
+                 "emit a synthetic exogenous series"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heatfleet",
         description="Comfort-constrained aggregate control of heat pump fleets",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for command, (*_, help_text) in RUNS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config file (defaults apply when omitted)")
         p.add_argument("--seed", type=int, default=None,
@@ -46,12 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--horizon", type=int, default=None,
                        help="override the number of simulated intervals")
 
-    p_track = sub.add_parser("track", help="run the signal-tracking scenario")
-    add_common(p_track)
-
-    p_wind = sub.add_parser("wind", help="run the paired wind-regulation experiment")
-    add_common(p_wind)
-
     p_grad = sub.add_parser("gradient",
                             help="histogram the total-load gradient of a series file")
     p_grad.add_argument("series_file", type=Path, help="series CSV produced by track/wind")
@@ -59,20 +67,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--bins", type=int, default=101, help="odd number of bins")
     p_grad.add_argument("--raw-density", action="store_true",
                         help="emit probability density instead of peak-normalized")
-
-    p_gen = sub.add_parser("gen-wind", help="emit a synthetic exogenous series")
-    add_common(p_gen)
-
     return parser
 
 
-def _load(args, scenario: str | None) -> RunConfig:
+def _load(args, scenario: str) -> RunConfig:
     raw = load_raw(args.config) if args.config is not None else {}
-    if scenario is not None:
-        # the subcommand decides the scenario before defaults resolve, so a
-        # bare `wind` gets the wind-scale population and horizon
-        raw = {**raw, "scenario": scenario}
-    config = config_from_dict(raw)
+    config = config_from_dict({**raw, "scenario": scenario})
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
@@ -82,24 +82,6 @@ def _load(args, scenario: str | None) -> RunConfig:
         return dataclasses.replace(config, **updates) if updates else config
     except ValueError as exc:
         raise ConfigError(f"command line: {exc}") from exc
-
-
-def _cmd_track(args) -> int:
-    from .runner import write_tracking_outputs
-
-    config = _load(args, "tracking")
-    out = write_tracking_outputs(config, args.out)
-    print(f"tracking run complete: {out}")
-    return EXIT_OK
-
-
-def _cmd_wind(args) -> int:
-    from .runner import write_wind_outputs
-
-    config = _load(args, "wind")
-    out = write_wind_outputs(config, args.out)
-    print(f"wind run complete (controlled + uncontrolled): {out}")
-    return EXIT_OK
 
 
 def _cmd_gradient(args) -> int:
@@ -120,26 +102,14 @@ def _cmd_gradient(args) -> int:
     return EXIT_OK
 
 
-def _cmd_gen_wind(args) -> int:
-    from .runner import generate_wind_file
-
-    config = _load(args, None)
-    path = generate_wind_file(config, args.out)
-    print(f"synthetic series written: {path}")
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "track": _cmd_track,
-        "wind": _cmd_wind,
-        "gradient": _cmd_gradient,
-        "gen-wind": _cmd_gen_wind,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        if args.command == "gradient":
+            return _cmd_gradient(args)
+        scenario, run, message, _ = RUNS[args.command]
+        print(f"{message}: {run(_load(args, scenario), args.out)}")
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -329,9 +329,9 @@ def load_config(path) -> RunConfig:
     return config_from_dict(load_raw(path))
 
 
-def resolve_output_dir(config: RunConfig) -> Path:
-    """Config value, else the environment default, else ./heatfleet_out."""
-    if config.output_dir:
-        return Path(config.output_dir)
-    env = os.environ.get(OUTPUT_DIR_ENV, "")
-    return Path(env) if env else Path("heatfleet_out")
+def resolve_output_dir(config: RunConfig, out_dir=None) -> Path:
+    """out_dir (--out), else the config's output_dir, else $HEATFLEET_OUT,
+    else ./heatfleet_out."""
+    if out_dir is not None:
+        return Path(out_dir)
+    return Path(config.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "heatfleet_out")

@@ -81,6 +81,14 @@ class TestBuildPddf:
             build_pddf_from_arrays(np.array([], dtype=int), np.array([], dtype=int),
                                    np.array([]), CFG8)
 
+    @pytest.mark.parametrize("bad", ["state", "index", "power"])
+    def test_report_array_not_1d_rejected(self, bad):
+        reports = {"state": np.array([1, 0]), "index": np.array([2, 3]),
+                   "power": np.array([4.0, 5.0])}
+        reports[bad] = np.stack([reports[bad]] * 2)
+        with pytest.raises(ValueError, match="report arrays must be 1-d"):
+            build_pddf_from_arrays(reports["state"], reports["index"], reports["power"], CFG8)
+
     def test_index_out_of_range_rejected(self):
         # an on-state unit at -1 would land in the last off bin if not rejected
         for index in (9, -1):

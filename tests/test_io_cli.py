@@ -362,6 +362,48 @@ class TestCli:
         out = tmp_path / "fromfile"
         assert main(["wind", "--config", str(config2), "--out", str(out)]) == 0
 
+    def test_default_gen_wind_covers_the_default_wind_run(self, tmp_path):
+        # gen-wind resolves the wind scenario's horizon, as `wind` does
+        assert main(["gen-wind", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "exogenous_series.csv"
+        assert len(path.read_text().splitlines()) == 1 + 1441
+        wind, temp = ingest_series(path, config_from_dict({"scenario": "wind"}).clock)
+        assert wind.size == temp.size == 1441
+
+    def test_subcommand_stdout_lines(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"seed": 3, "clock": {"horizon": 20},
+                                         "population": {"count": 10},
+                                         "thermostat": {"resolution": 16},
+                                         "tracking": {"burn_in": 5},
+                                         "wind": {"burn_in": 5}})
+        common = ["--config", str(config), "--out"]
+        assert main(["track", *common, str(tmp_path / "t")]) == 0
+        assert main(["wind", *common, str(tmp_path / "w")]) == 0
+        assert main(["gen-wind", *common, str(tmp_path / "g")]) == 0
+        series = tmp_path / "w" / "wind_controlled_series.csv"
+        assert main(["gradient", str(series), "--out", str(tmp_path / "h")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"tracking run complete: {tmp_path / 't'}",
+            f"wind run complete (controlled + uncontrolled): {tmp_path / 'w'}",
+            f"synthetic series written: {tmp_path / 'g' / 'exogenous_series.csv'}",
+            f"gradient histogram written: {tmp_path / 'h' / 'gradient.csv'}",
+        ]
+
+    @pytest.mark.parametrize("command, options", [
+        ("track", ["--config", "--help", "--horizon", "--out", "--seed"]),
+        ("wind", ["--config", "--help", "--horizon", "--out", "--seed"]),
+        ("gen-wind", ["--config", "--help", "--horizon", "--out", "--seed"]),
+        ("gradient", ["--bins", "--help", "--out", "--raw-density"]),
+    ])
+    def test_subcommand_help_options(self, capsys, command, options):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--help"])
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith(f"usage: heatfleet {command} ")
+        assert sorted(set(re.findall(r"--[a-z][a-z-]*", text))) == options
+        assert ("series_file" in text) == (command == "gradient")
+
     @pytest.mark.parametrize("option, message", [
         ("--seed", "command line: seed must be >= 0"),
         ("--horizon", "command line: horizon must be >= 0"),
@@ -407,6 +449,8 @@ def test_output_dir_environment_fallback(tmp_path, monkeypatch):
     # an explicit config value wins over the environment
     cfg = config_from_dict({"output_dir": str(tmp_path / "explicit")})
     assert resolve_output_dir(cfg) == tmp_path / "explicit"
+    # --out wins over both
+    assert resolve_output_dir(cfg, tmp_path / "flag") == tmp_path / "flag"
     monkeypatch.delenv("HEATFLEET_OUT")
     assert str(resolve_output_dir(RunConfig())) == "heatfleet_out"
 

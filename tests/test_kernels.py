@@ -248,6 +248,22 @@ def test_validated_pair_cums_match_full_cumsum_oracle(data):
     assert same_bits(pddf.total_mass(), cum0[-1] + cum1[-1])
 
 
+@pytest.mark.parametrize("resolution", range(1, 17))
+def test_validated_pair_builds_on_every_small_grid(resolution):
+    # the window needs R in 8Z, but a validated pair accepts any R >= 1
+    phi0 = np.arange(1.0, resolution + 2)
+    phi1 = np.arange(resolution + 1.0, 0.0, -1.0)
+    pddf = PowerDensityPair(phi0, phi1, 0.1, 1.0)
+    cum0, cum1 = np.cumsum(phi0 * 0.1), np.cumsum(phi1 * 0.1)
+    assert same_bits(capacity_factor(pddf), cum1[-1])
+    assert same_bits(pddf.total_mass(), cum0[-1] + cum1[-1])
+    if resolution % 8 == 0:
+        cfg = ThermostatConfig(resolution=resolution)
+        lo, hi, off = cfg.ms_min, cfg.ms_max, cfg.switch_offset
+        window = [cff(pddf, m_s, cfg) for m_s in range(lo, hi + 1)]
+        assert same_bits(window, cum0[lo - off: hi - off + 1] + cum1[lo + off - 1: hi + off])
+
+
 @SETTINGS
 @given(st.data())
 def test_thermal_step_with_run_constants_matches_formula(data):
