@@ -10,40 +10,12 @@ tracks a target load, including a wind-power regulation scenario.
 __version__ = "0.1.0"
 
 from .aggregator import (
-    ControlDecision,
-    FeasibleRegion,
-    PowerDensityPair,
     build_pddf_from_arrays,
-    capacity_factor,
     cff,
     feasible_region,
-    max_cff_increment,
     select_setpoint,
     verify_boundary_condition,
 )
-from .building import duty_cycle
-from .config import RunConfig, load_config
-from .engine import (
-    ParameterDist,
-    Population,
-    PopulationSpec,
-    ScenarioSeries,
-    Simulation,
-    SimulationClock,
-    generate_population,
-    run_simulation,
-)
-from .errors import ConfigError, EngineError, HeatfleetError, SeriesError
-from .scenarios import (
-    NominalLoadModel,
-    SaturationScenario,
-    ScenarioInputs,
-    SyntheticWeather,
-    TrackingScenario,
-    TurbineModel,
-    WindScenario,
-    power_gradient_density,
-    turbine_power,
-    wind_target,
-)
-from .thermostat import ThermostatConfig, hysteresis_update, measurement_temperature, quantize
+from .engine import PopulationSpec, SimulationClock, run_simulation
+from .scenarios import ScenarioInputs, TrackingScenario
+from .thermostat import hysteresis_update, measurement_temperature, quantize

@@ -200,8 +200,9 @@ def select_setpoint(pddf: PowerDensityPair, phi_target: float,
                     cfg: ThermostatConfig) -> ControlDecision:
     """Pick the admissible set-point index whose predicted Phi is closest to the target.
 
-    The squared-deviation minimizers form one contiguous run of indices
-    (plateaus of equal cff,  plus both bracketing plateaus when the target is
+    The minimizers of the squared deviation, compared as gaps |phi_target -
+    cff| so that no square can underflow, form one contiguous run of indices
+    (plateaus of equal cff, plus both bracketing plateaus when the target is
     exactly midway); within it the index nearest R/2 is returned. Targets
     outside the feasible region clamp to the corresponding bound.
     """
@@ -209,13 +210,14 @@ def select_setpoint(pddf: PowerDensityPair, phi_target: float,
         raise ValueError(f"phi_target must be finite, got {phi_target!r}")
     region = feasible_region(pddf, cfg)
     lo, hi, w = region.ms_min, region.ms_max, pddf._window
-    # w[k-1] < phi_target <= w[k]; both brackets collapse onto w[0] or w[-1] outside
+    # w[k-1] < phi_target <= w[k], so both gaps are >= 0; outside the window
+    # both brackets collapse onto w[0] or w[-1] and the gaps do not matter
     k = int(w.searchsorted(phi_target, "left"))
     below, above = float(w[max(k - 1, 0)]), float(w[min(k, w.size - 1)])
-    dev_below = (phi_target - below) ** 2
-    dev_above = (above - phi_target) ** 2
-    best_lo = below if dev_below <= dev_above else above
-    best_hi = above if dev_above <= dev_below else below
+    gap_below = phi_target - below
+    gap_above = above - phi_target
+    best_lo = below if gap_below <= gap_above else above
+    best_hi = above if gap_above <= gap_below else below
     run_lo = lo + int(w.searchsorted(best_lo, "left"))
     run_hi = lo + int(w.searchsorted(best_hi, "right")) - 1
 

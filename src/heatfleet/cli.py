@@ -63,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradient",
                             help="histogram the total-load gradient of a series file")
     p_grad.add_argument("series_file", type=Path, help="series CSV produced by track/wind")
-    p_grad.add_argument("--out", type=Path, default=None, help="output directory")
+    p_grad.add_argument("--out", type=Path, default=None,
+                        help="output directory (default: the current directory)")
     p_grad.add_argument("--bins", type=int, default=101, help="odd number of bins")
     p_grad.add_argument("--raw-density", action="store_true",
                         help="emit probability density instead of peak-normalized")

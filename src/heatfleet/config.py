@@ -124,7 +124,7 @@ class TrackingConfig:
 
 @dataclass(frozen=True)
 class WindConfig:
-    """The wind section. WindScenario checks burn_in."""
+    """The wind section. WindScenario checks burn_in and start_hour."""
 
     burn_in: int = 100
     start_hour: float = 0.0
@@ -134,8 +134,6 @@ class WindConfig:
     nominal: NominalLoadModel = NominalLoadModel()
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.start_hour < 24.0:
-            raise ValueError(f"start_hour must be in [0, 24), got {self.start_hour!r}")
         if self.series_file is not None and not Path(self.series_file).is_file():
             raise ValueError(f"series_file: file not found: {self.series_file}")
         self.scenario(self.synthetic, controlled=True)

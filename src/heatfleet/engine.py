@@ -24,7 +24,6 @@ import numpy as np
 from . import aggregator
 from .building import duty_cycle, thermal_constants, thermal_step
 from .errors import ConfigError, EngineError
-from .scenarios import IntervalContext
 from .thermostat import ThermostatConfig, hysteresis_update, quantize
 
 __all__ = [
@@ -249,7 +248,6 @@ class ScenarioSeries:
     rapid_cycle_count: np.ndarray
     ms_star: np.ndarray
     installed_capacity: float
-    max_rated_power: float
     population_size: int
     setpoint: float
     deadband: float
@@ -310,6 +308,11 @@ class Simulation:
     maps each per-interval ScenarioSeries field the engine computes to an
     array preallocated for the horizon; interval k fills entry k. The float
     columns are the rows of one block, so an interval writes them at once.
+
+    Each interval the engine calls scenario.phi_target(sim, phi_now, region)
+    with itself as sim. A scenario may read k (the interval being decided),
+    rng_scenario, inputs, the columns of the intervals before k and
+    installed_capacity; it changes nothing but the state of rng_scenario.
     """
 
     def __init__(self, population: Population, scenario, clock: SimulationClock,
@@ -332,7 +335,7 @@ class Simulation:
         self._decay, self._lift = thermal_constants(
             population.capacitance, population.resistance, population.rated_power,
             population.cop, clock.dt_hours)
-        self._installed_capacity = population.installed_capacity
+        self.installed_capacity = population.installed_capacity
         self._max_rated_power = float(population.rated_power.max())
         self.inputs = scenario.prepare(clock.horizon, clock.dt_minutes, self.rng_scenario)
 
@@ -371,21 +374,8 @@ class Simulation:
         phi_now = aggregator.capacity_factor(pddf)
         phi_hold = aggregator.cff(pddf, cfg.resolution // 2, cfg)
 
-        # (4) scenario target (None keeps the set-point offset at zero)
-        total_kw = cols["total_kw"]
-        ctx = IntervalContext(
-            k=k,
-            phi_now=phi_now,
-            phi_hold=phi_hold,
-            region=region,
-            installed_capacity=self._installed_capacity,
-            rng=self.rng_scenario,
-            nominal_next_kw=nominal_kw,
-            wind_next_kw=wind_kw,
-            load_now_kw=float(total_kw[k - 1]) if k >= 1 else None,
-            load_prev_kw=float(total_kw[k - 2]) if k >= 2 else None,
-        )
-        target = self.scenario.phi_target(ctx)
+        # (4) scenario target (None holds the zero-offset prediction phi_hold)
+        target = self.scenario.phi_target(self, phi_now, region)
         controlled = target is not None
         if target is None:
             target = phi_hold
@@ -400,19 +390,19 @@ class Simulation:
 
         # (7) realized aggregate and bookkeeping
         phi_realized = float(np.add.reduce(pop.rated_power.compress(n_new.view(bool)))
-                             / self._installed_capacity)
+                             / self.installed_capacity)
         if abs(phi_realized - decision.phi_predicted) > 1e-9:
             raise EngineError(
                 f"interval {k}: realized capacity factor {phi_realized!r} "
                 f"deviates from prediction {decision.phi_predicted!r}"
             )
-        heatpump_kw = self._installed_capacity * phi_realized
+        heatpump_kw = self.installed_capacity * phi_realized
         # one row per name of _FLOAT_COLUMNS, in its order; sum/size is ndarray.mean
         self._floats[:, k] = (
             heatpump_kw, nominal_kw + heatpump_kw - wind_kw, phi_realized,
             decision.phi_target, decision.u, decision.phi_min, decision.phi_max,
             np.add.reduce(pop.indoor_temp) / pop.indoor_temp.size, decision.phi_predicted,
-            self._max_rated_power / self._installed_capacity
+            self._max_rated_power / self.installed_capacity
             + aggregator.max_cff_increment(pddf, cfg),
             min_theta, max_theta,
         )
@@ -443,8 +433,7 @@ class Simulation:
             nominal_kw=self.inputs.nominal_kw[:self.k],
             wind_kw=self.inputs.wind_kw[:self.k],
             **{name: column[:self.k] for name, column in self.columns.items()},
-            installed_capacity=self._installed_capacity,
-            max_rated_power=self._max_rated_power,
+            installed_capacity=self.installed_capacity,
             population_size=len(pop),
             setpoint=pop.thermostat.setpoint,
             deadband=pop.thermostat.deadband,

@@ -10,7 +10,9 @@ The wind scenario composes a piecewise-linear diurnal nominal-load profile
 with Gaussian fluctuations, a cut-in/rated/cut-out turbine power curve, and
 wind-speed/outdoor-temperature inputs that are either ingested from a file
 or synthesized by a mean-reverting process. Each scenario's prepare returns
-the run's exogenous inputs as one ScenarioInputs value.
+the run's exogenous inputs as one ScenarioInputs value; its phi_target(sim,
+phi_now, region) reads what else it needs from the running engine Simulation
+sim and returns the next target, or None to hold the set-point offset at zero.
 """
 
 from __future__ import annotations
@@ -20,14 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregator import FeasibleRegion
-
 __all__ = [
     "TurbineModel",
     "NominalLoadModel",
     "SyntheticWeather",
     "ScenarioInputs",
-    "IntervalContext",
     "TrackingScenario",
     "SaturationScenario",
     "WindScenario",
@@ -238,26 +237,6 @@ def _constant_inputs(horizon: int, outdoor_temp: float) -> ScenarioInputs:
     return ScenarioInputs(np.full(n, outdoor_temp), np.zeros(n), np.zeros(n))
 
 
-@dataclass
-class IntervalContext:
-    """Everything a target policy may consult when asked for the next target.
-
-    phi_now is the reported capacity factor; phi_hold is what it becomes next
-    interval if the set-point offset stays zero.
-    """
-
-    k: int
-    phi_now: float
-    phi_hold: float
-    region: FeasibleRegion
-    installed_capacity: float
-    rng: np.random.Generator
-    nominal_next_kw: float = 0.0
-    wind_next_kw: float = 0.0
-    load_now_kw: float | None = None
-    load_prev_kw: float | None = None
-
-
 class TrackingScenario:
     """Fig.-1 style signal tracking: constant outdoor temperature, no wind or
     nominal load, stochastic feasible target after the burn-in.
@@ -290,16 +269,16 @@ class TrackingScenario:
         self._z = 0.0
         return _constant_inputs(horizon, self.outdoor_temp_value)
 
-    def phi_target(self, ctx: IntervalContext) -> float | None:
-        if ctx.k < self.burn_in:
+    def phi_target(self, sim, phi_now: float, region) -> float | None:
+        if sim.k < self.burn_in:
             return None
         if self._steady is None:
-            self._steady = ctx.phi_now
-        lo, hi = ctx.region.phi_min, ctx.region.phi_max
+            self._steady = phi_now
+        lo, hi = region.phi_min, region.phi_max
         if lo > hi:
             raise ValueError(f"empty region [{lo}, {hi}]")
         c = self.ar_coefficient
-        self._z = c * self._z + math.sqrt(1.0 - c * c) * float(ctx.rng.standard_normal())
+        self._z = c * self._z + math.sqrt(1.0 - c * c) * float(sim.rng_scenario.standard_normal())
         half_width = 0.5 * (hi - lo)
         raw = self._steady + self.disturbance_scale * half_width * self._z
         return min(max(raw, lo), hi)
@@ -318,10 +297,10 @@ class SaturationScenario:
                 rng: np.random.Generator) -> ScenarioInputs:
         return _constant_inputs(horizon, self.outdoor_temp_value)
 
-    def phi_target(self, ctx: IntervalContext) -> float | None:
-        if ctx.k < self.burn_in:
+    def phi_target(self, sim, phi_now: float, region) -> float | None:
+        if sim.k < self.burn_in:
             return None
-        return ctx.region.phi_max + self.overshoot
+        return region.phi_max + self.overshoot
 
 
 class WindScenario:
@@ -342,6 +321,8 @@ class WindScenario:
             raise ValueError(
                 f"wind regulation needs burn_in >= 2 to seed the load history, got {burn_in}"
             )
+        if not 0.0 <= start_hour < 24.0:
+            raise ValueError(f"start_hour must be in [0, 24), got {start_hour!r}")
         self.turbine = turbine
         self.nominal = nominal
         self.weather = weather
@@ -371,11 +352,12 @@ class WindScenario:
         )
         return ScenarioInputs(outdoor, nominal_kw, wind_kw)
 
-    def phi_target(self, ctx: IntervalContext) -> float | None:
-        if not self.controlled or ctx.k < self.burn_in:
+    def phi_target(self, sim, phi_now: float, region) -> float | None:
+        k = sim.k
+        if not self.controlled or k < self.burn_in:
             return None
-        if ctx.load_now_kw is None or ctx.load_prev_kw is None:
-            return None
-        return wind_target(ctx.wind_next_kw, ctx.nominal_next_kw,
-                           ctx.load_now_kw, ctx.load_prev_kw,
-                           ctx.installed_capacity)
+        # burn_in >= 2, so the total loads of intervals k - 1 and k - 2 are recorded
+        load_kw = sim.columns["total_kw"]
+        return wind_target(float(sim.inputs.wind_kw[k]), float(sim.inputs.nominal_kw[k]),
+                           float(load_kw[k - 1]), float(load_kw[k - 2]),
+                           sim.installed_capacity)

@@ -217,7 +217,7 @@ def exhaustive_setpoint_oracle(pddf, phi_target, cfg):
     center = cfg.resolution // 2
     best = None
     for m_s in range(cfg.ms_min, cfg.ms_max + 1):
-        dev = (phi_target - cff(pddf, m_s, cfg)) ** 2
+        dev = abs(phi_target - cff(pddf, m_s, cfg))
         key = (dev, abs(m_s - center))
         if best is None or key < best[0]:
             best = (key, m_s)
@@ -272,6 +272,18 @@ class TestSelectSetpoint:
             assert abs(decision.u) <= cfg.deadband / 4
             assert measurement_temperature(decision.ms_star, cfg) == \
                 cfg.setpoint + decision.u
+
+    def test_gaps_whose_squares_underflow(self):
+        # window (0, 2e-170, 2e-170) over {3, 4, 5}: both gaps to the target
+        # square to 0.0, yet index 3 is 5e-171 away and index 4 is 1.5e-170
+        phi0, phi1 = np.zeros(9), np.zeros(9)
+        phi0[8] = phi1[8] = 1.0
+        phi1[5] = 8e-170
+        pddf = PowerDensityPair(phi0=phi0, phi1=phi1, grid_step=0.25, installed_capacity=1.0)
+        assert [cff(pddf, m_s, CFG8) for m_s in (3, 4, 5)] == [0.0, 2e-170, 2e-170]
+        decision = select_setpoint(pddf, 5e-171, CFG8)
+        assert decision.ms_star == exhaustive_setpoint_oracle(pddf, 5e-171, CFG8) == 3
+        assert decision.phi_predicted == 0.0
 
     def test_nonfinite_target_rejected(self):
         pddf = pddf_of([(1, 4, 4.0)], CFG8)
@@ -409,7 +421,7 @@ def test_select_setpoint_is_exhaustive_argmin(fleet, data):
     for target in [values[i], (values[i] + values[j]) / 2.0, *ties,
                    data.draw(st.floats(-0.5, 1.5)), -1.0, 2.0]:
         decision = select_setpoint(pddf, target, cfg)
-        best = min(admissible(r), key=lambda s: ((target - values[s - 3 * r // 8]) ** 2,
+        best = min(admissible(r), key=lambda s: (abs(target - values[s - 3 * r // 8]),
                                                  abs(s - r // 2)))
         assert decision.ms_star == best
         assert decision.phi_predicted == values[best - 3 * r // 8]

@@ -1,5 +1,6 @@
 """Engine tests: population generation, interval protocol, determinism."""
 
+import inspect
 import math
 import warnings
 
@@ -38,28 +39,24 @@ def degenerate_spec(count=1, seed=0, **overrides):
 
 
 class FixedTargetScenario(TrackingScenario):
-    """Test policy: request exactly the zero-offset prediction (no-op control)."""
+    """Test policy: never request a target, so the engine steers to the
+    zero-offset prediction (no-op control)."""
 
-    def __init__(self, outdoor_temp=4.0, burn_in=0):
-        super().__init__(outdoor_temp=outdoor_temp, burn_in=burn_in)
-
-    def phi_target(self, ctx):
-        if ctx.k < self.burn_in:
-            return None
-        return ctx.phi_hold
+    def phi_target(self, sim, phi_now, region):
+        return None
 
 
 class FeasibleFractionScenario(TrackingScenario):
     """Test policy: a random but always-feasible target each interval."""
 
-    def phi_target(self, ctx):
-        frac = float(ctx.rng.uniform(0.0, 1.0))
-        return ctx.region.phi_min + frac * (ctx.region.phi_max - ctx.region.phi_min)
+    def phi_target(self, sim, phi_now, region):
+        frac = float(sim.rng_scenario.uniform(0.0, 1.0))
+        return region.phi_min + frac * (region.phi_max - region.phi_min)
 
 
 class ExplodingScenario(TrackingScenario):
-    def phi_target(self, ctx):
-        if ctx.k == 3:
+    def phi_target(self, sim, phi_now, region):
+        if sim.k == 3:
             raise RuntimeError("scenario blew up")
         return None
 
@@ -358,3 +355,20 @@ def test_whole_run_invariants(run):
     identity = series.nominal_kw + series.heatpump_kw - series.wind_kw
     assert series.total_kw.tobytes() == identity.tobytes()
     assert ((series.phi >= 0.0) & (series.phi <= 1.0)).all()
+
+
+# the names the README's Library section documents: the package's only re-exports
+README_LIBRARY_NAMES = {
+    "PopulationSpec", "TrackingScenario", "run_simulation", "SimulationClock",
+    "build_pddf_from_arrays", "cff", "feasible_region", "select_setpoint",
+    "verify_boundary_condition", "quantize", "measurement_temperature",
+    "hysteresis_update", "ScenarioInputs",
+}
+
+
+def test_package_exports_exactly_the_readme_library_names():
+    import heatfleet
+
+    public = {name for name, value in vars(heatfleet).items()
+              if not name.startswith("_") and not inspect.ismodule(value)}
+    assert public == README_LIBRARY_NAMES

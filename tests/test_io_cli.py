@@ -455,6 +455,19 @@ def test_output_dir_environment_fallback(tmp_path, monkeypatch):
     assert str(resolve_output_dir(RunConfig())) == "heatfleet_out"
 
 
+def test_gradient_writes_to_out_or_the_current_directory(tmp_path, monkeypatch):
+    # gradient takes no config, so neither output_dir nor $HEATFLEET_OUT applies
+    series = tmp_path / "series.csv"
+    series.write_text("k,P_L_kw\n0,1.0\n1,2.0\n2,4.0\n")
+    monkeypatch.setenv("HEATFLEET_OUT", str(tmp_path / "from_env"))
+    monkeypatch.chdir(tmp_path)
+    assert main(["gradient", str(series)]) == 0
+    assert (tmp_path / "gradient.csv").is_file()
+    assert main(["gradient", str(series), "--out", "flag"]) == 0
+    assert (tmp_path / "flag" / "gradient.csv").is_file()
+    assert not (tmp_path / "from_env").exists()
+
+
 def test_diagnostic_dumps_written(tmp_path):
     config = write_config(tmp_path, {
         "scenario": "tracking",

@@ -1,5 +1,7 @@
 """Scenario model tests: turbine curve, nominal load, regulation target, gradients."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from heatfleet.config import config_from_dict
 from heatfleet.engine import PopulationSpec, SimulationClock, run_simulation
 from heatfleet.errors import ConfigError
 from heatfleet.scenarios import (
-    IntervalContext,
     NominalLoadModel,
     ScenarioInputs,
     SyntheticWeather,
@@ -112,8 +113,13 @@ class TestNominalLoad:
         assert (nominal_kw(FixedDraws(-100.0)) == 0.0).all()
 
     def test_time_of_day_validated(self):
-        with pytest.raises(ConfigError, match="start_hour"):
+        with pytest.raises(ConfigError, match=r"^wind: start_hour must be in \[0, 24\)"):
             config_from_dict({"scenario": "wind", "wind": {"start_hour": 24}})
+        # the scenario checks it, so a library caller gets the same check
+        for hour in (24.0, -0.5):
+            with pytest.raises(ValueError, match=r"^start_hour must be in \[0, 24\)"):
+                WindScenario(TurbineModel(), NominalLoadModel(),
+                             (np.zeros(3), np.full(3, 4.0)), start_hour=hour)
         # the time of day wraps past midnight onto the periodic profile
         model = NominalLoadModel()
         loads = nominal_kw(FixedDraws(0.0), horizon=2, start_hour=23.0)
@@ -151,7 +157,7 @@ class ConstantLoads:
         n = horizon + 1
         return ScenarioInputs(np.full(n, 4.0), np.full(n, self.nominal), np.full(n, self.wind))
 
-    def phi_target(self, ctx):
+    def phi_target(self, sim, phi_now, region):
         return None
 
 
@@ -217,12 +223,27 @@ class TestWindTarget:
             wind_target(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
+def test_wind_policy_reads_the_forecast_at_k_and_the_two_loads_before():
+    n = 6
+    scenario = WindScenario(TurbineModel(), NominalLoadModel(),
+                            (np.zeros(n), np.full(n, 4.0)), burn_in=2)
+    inputs = ScenarioInputs(np.full(n, 4.0), 1000.0 + 100.0 * np.arange(n),
+                            10.0 * np.arange(n))
+    sim = SimpleNamespace(k=4, inputs=inputs, installed_capacity=4000.0,
+                          columns={"total_kw": np.array([1e3, 2e3, 3e3, 5e3, 0.0, 0.0])})
+    expected = wind_target(40.0, 1400.0, 5000.0, 3000.0, 4000.0)
+    assert scenario.phi_target(sim, 0.5, None) == expected
+    sim.k = 1
+    assert scenario.phi_target(sim, 0.5, None) is None
+    sim.k = 4
+    scenario.controlled = False
+    assert scenario.phi_target(sim, 0.5, None) is None
+
+
 def tracking_target(scenario, draw, region, phi_now=0.5):
     """One TrackingScenario.phi_target past the burn-in, with the normal draw fixed."""
-    ctx = IntervalContext(k=scenario.burn_in, phi_now=phi_now, phi_hold=phi_now,
-                          region=FeasibleRegion(0, 0, *region), installed_capacity=1.0,
-                          rng=FixedDraws(draw))
-    return scenario.phi_target(ctx)
+    sim = SimpleNamespace(k=scenario.burn_in, rng_scenario=FixedDraws(draw))
+    return scenario.phi_target(sim, phi_now, FeasibleRegion(0, 0, *region))
 
 
 class TestTrackingTarget:
