@@ -28,15 +28,23 @@ def thermal_constants(capacitance, resistance, rated_power, cop, dt):
     return np.exp(-dt / (capacitance * resistance)), cop * rated_power * resistance
 
 
-def thermal_step(theta_a, machine_state, decay, lift, outdoor_temp, noise=0.0):
+def thermal_step(theta_a, machine_state, decay, lift, outdoor_temp, noise=0.0, out=None,
+                 work=None):
     """Exact-exponential one-interval update; works on scalars or aligned arrays.
 
     decay and lift come from thermal_constants. Returns the new indoor
     temperature(s); machine_state (0 or 1) is read, never written. noise in
-    degC is added after the deterministic step.
+    degC is added after the deterministic step. out receives the result and
+    may be theta_a itself; work (float64) holds the equilibria and may not
+    overlap theta_a or out. By default each is a new array.
     """
-    theta_eq = outdoor_temp + machine_state * lift
-    return theta_eq + (theta_a - theta_eq) * decay + noise
+    theta_eq = np.multiply(machine_state, lift, out=work)
+    theta_eq += outdoor_temp
+    t = np.subtract(theta_a, theta_eq, out=out)
+    t *= decay
+    t += theta_eq
+    t += noise
+    return t
 
 
 def duty_cycle(capacitance, resistance, rated_power, cop, cfg: ThermostatConfig,

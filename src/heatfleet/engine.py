@@ -59,6 +59,8 @@ class ParameterDist:
     def __post_init__(self) -> None:
         if self.kind not in ("constant", "uniform", "lognormal"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.value, self.low, self.high, self.mean, self.sd))):
+            raise ValueError(f"{self.kind} distribution parameters must be finite")
         if self.kind == "uniform" and not self.low <= self.high:
             raise ValueError(f"uniform needs low <= high, got [{self.low}, {self.high}]")
         if self.kind == "lognormal" and (self.mean <= 0.0 or self.sd < 0.0):
@@ -108,8 +110,9 @@ class PopulationSpec:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
-        if self.process_noise_sd < 0.0:
-            raise ValueError(f"process_noise_sd must be >= 0, got {self.process_noise_sd!r}")
+        if not (math.isfinite(self.process_noise_sd) and self.process_noise_sd >= 0.0):
+            raise ValueError("process_noise_sd must be finite and >= 0, "
+                             f"got {self.process_noise_sd!r}")
 
 
 @dataclass(eq=False)  # arrays have no truth value: identity equality
@@ -309,6 +312,9 @@ class Simulation:
     array preallocated for the horizon; interval k fills entry k. The float
     columns are the rows of one block, so an interval writes them at once.
 
+    The kernels write into per-run buffers, and population.indoor_temp is
+    updated in place.
+
     Each interval the engine calls scenario.phi_target(sim, phi_now, region)
     with itself as sim. A scenario may read k (the interval being decided),
     rng_scenario, inputs, the columns of the intervals before k and
@@ -337,6 +343,10 @@ class Simulation:
             population.cop, clock.dt_hours)
         self.installed_capacity = population.installed_capacity
         self._max_rated_power = float(population.rated_power.max())
+        # workspace: the equilibria, then quantize's arithmetic; indices; bincount keys
+        self._work = np.empty(len(population))
+        self._index = np.empty(len(population), dtype=np.int64)
+        self._keys = np.empty(len(population), dtype=np.int64)
         self.inputs = scenario.prepare(clock.horizon, clock.dt_minutes, self.rng_scenario)
 
     def run_interval(self) -> None:
@@ -351,12 +361,11 @@ class Simulation:
 
         # (1) thermal evolution under this interval's outdoor temperature
         outdoor = float(inputs.outdoor_c[k])
-        if pop.process_noise_sd > 0.0:
-            noise = self.rng_noise.normal(0.0, pop.process_noise_sd, len(pop))
-        else:
-            noise = 0.0
-        pop.indoor_temp = thermal_step(pop.indoor_temp, pop.machine_state,
-                                       self._decay, self._lift, outdoor, noise)
+        sd = pop.process_noise_sd
+        # passed inline, the noise draw is freed as soon as the step returns
+        thermal_step(pop.indoor_temp, pop.machine_state, self._decay, self._lift, outdoor,
+                     self.rng_noise.normal(0.0, sd, len(pop)) if sd > 0.0 else 0.0,
+                     out=pop.indoor_temp, work=self._work)
         min_theta = float(np.minimum.reduce(pop.indoor_temp))
         max_theta = float(np.maximum.reduce(pop.indoor_temp))
         if not (math.isfinite(min_theta) and math.isfinite(max_theta)):
@@ -365,11 +374,11 @@ class Simulation:
                               f"is {pop.indoor_temp[unit]!r}")
 
         # (2) quantized power-state reports
-        m = quantize(pop.indoor_temp, cfg)
+        m = quantize(pop.indoor_temp, cfg, out=self._index, work=self._work)
 
         # (3) power density pair
         pddf = aggregator.build_pddf_from_arrays(pop.machine_state, m,
-                                                 pop.rated_power, cfg)
+                                                 pop.rated_power, cfg, keys=self._keys)
         region = aggregator.feasible_region(pddf, cfg)
         phi_now = aggregator.capacity_factor(pddf)
         phi_hold = aggregator.cff(pddf, cfg.resolution // 2, cfg)

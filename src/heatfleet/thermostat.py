@@ -78,20 +78,24 @@ class ThermostatConfig:
         return 5 * self.resolution // 8
 
 
-def quantize(theta_a, cfg: ThermostatConfig):
+def quantize(theta_a, cfg: ThermostatConfig, out=None, work=None):
     """Map temperature(s) to the nearest grid index, clamped to [0, R].
 
     Rounding is half away from zero (symmetric about the setpoint);
-    out-of-range temperatures saturate at the grid ends.
+    out-of-range temperatures saturate at the grid ends. out (int64) receives
+    the indices and work (float64) holds the arithmetic; each may be a buffer
+    shaped like theta_a, and by default a new array is used.
     """
-    x = np.array(theta_a, dtype=float)  # a private buffer, so every step is in place
-    x -= cfg.setpoint
+    # out=... keeps a 0-d result an array, so every step below is in place
+    x = np.subtract(theta_a, cfg.setpoint, out=... if work is None else work, dtype=float)
     x += cfg.deadband
     x /= cfg.grid_step
     # floor(x + 0.5) is half away from zero for x >= 0; every x < 0 clamps to 0
     x += 0.5
     # ndarray.clip is what np.clip calls, minus its dispatch; one pass over x
-    m = np.floor(x, out=x).clip(0.0, cfg.resolution, out=x).astype(np.int64)
+    np.floor(x, out=x).clip(0.0, cfg.resolution, out=x)
+    m = np.empty(x.shape, np.int64) if out is None else out
+    np.copyto(m, x, casting="unsafe")  # x.astype(np.int64), into m
     return int(m) if x.ndim == 0 else m
 
 

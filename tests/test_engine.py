@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -86,6 +87,27 @@ class TestParameterDist:
             ParameterDist.uniform(5.0, 3.0)
         with pytest.raises(ValueError):
             ParameterDist.lognormal(-1.0, 0.5)
+
+    @pytest.mark.parametrize("kind, args", [
+        ("constant", (math.nan,)),
+        ("constant", (math.inf,)),
+        ("uniform", (3.0, math.inf)),
+        ("uniform", (-math.inf, 5.0)),
+        ("lognormal", (math.nan, 0.5)),
+        ("lognormal", (math.inf, 0.5)),
+        ("lognormal", (2.5, math.nan)),
+    ])
+    def test_nonfinite_parameters_rejected(self, kind, args):
+        # accepted, they exhausted the resampling rounds with a misleading error
+        with pytest.raises(ValueError, match="parameters must be finite"):
+            getattr(ParameterDist, kind)(*args)
+
+
+@pytest.mark.parametrize("sd", [math.nan, math.inf])
+def test_nonfinite_process_noise_sd_rejected(sd):
+    # NaN used to run without noise (nan > 0.0 is false), inf to fail at interval 0
+    with pytest.raises(ValueError, match="process_noise_sd must be finite"):
+        PopulationSpec(process_noise_sd=sd)
 
 
 class TestGeneratePopulation:
@@ -199,6 +221,43 @@ class TestRunInterval:
             warnings.simplefilter("error")
             with pytest.raises(EngineError, match=r"^interval 3: indoor temperature of unit 7 "):
                 sim.run()
+
+
+def test_interval_allocates_less_than_two_fleet_arrays():
+    # with the per-run workspace, the noise draw and the compressed rated
+    # powers (about N/2 of them, and as many int64 indices) are the only
+    # fleet-sized temporaries of an interval, and they are never alive at once
+    n = 100_000
+    pop = generate_population(PopulationSpec(count=n, seed=61))
+    sim = Simulation(pop, TrackingScenario(burn_in=2), SimulationClock(1.0, 4),
+                     noise_seed=3, scenario_seed=4)
+    for _ in range(3):
+        sim.run_interval()
+    tracemalloc.start()
+    try:
+        sim.run_interval()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 8 * n
+
+
+def test_run_updates_temperatures_in_place_and_pairs_own_their_arrays():
+    pop = generate_population(PopulationSpec(count=300, seed=62))
+    temperatures = pop.indoor_temp
+    pairs = []
+    sim = Simulation(pop, FeasibleFractionScenario(burn_in=0), SimulationClock(1.0, 12),
+                     noise_seed=3, scenario_seed=4,
+                     diagnostic_sink=lambda k, pddf, decision: pairs.append(
+                         (pddf, pddf.phi0.copy(), pddf.phi1.copy())))
+    sim.run()
+    assert pop.indoor_temp is temperatures
+    buffers = [value for value in [*vars(sim).values(), *vars(pop).values()]
+               if isinstance(value, np.ndarray)]
+    for pddf, phi0, phi1 in pairs:
+        assert pddf.phi0.tobytes() == phi0.tobytes()
+        assert pddf.phi1.tobytes() == phi1.tobytes()
+        assert not any(np.shares_memory(pddf.phi0.base, buffer) for buffer in buffers)
 
 
 class TestRunSimulation:

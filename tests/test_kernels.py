@@ -168,6 +168,27 @@ def test_quantize_matches_where_floor_ceil_oracle(data):
 
 @SETTINGS
 @given(st.data())
+def test_quantize_into_buffers_matches_allocating_call(data):
+    cfg = data.draw(thermostats())
+    theta = data.draw(temperatures(cfg))
+    out = data.draw(hnp.arrays(np.int64, theta.size))  # garbage the kernel overwrites
+    work = data.draw(hnp.arrays(np.float64, theta.size))
+    original = theta.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = quantize(theta, cfg)
+        got = quantize(theta, cfg, out=out, work=work)
+        assert got is out and same_bits(got, expected)
+        assert same_bits(theta, original)
+        # the arithmetic may run in the temperatures themselves
+        aliased = quantize(theta, cfg, out=np.full(theta.size, -1), work=theta)
+        assert same_bits(aliased, expected)
+        for value, m in zip(original, expected):
+            scalar = quantize(float(value), cfg)
+            assert type(scalar) is int and scalar == int(m)
+
+
+@SETTINGS
+@given(st.data())
 def test_hysteresis_vector_matches_scalar_and_oracle(data):
     cfg = ThermostatConfig(resolution=data.draw(resolutions))
     size = data.draw(st.integers(1, 64))
@@ -216,6 +237,25 @@ def test_single_bincount_pddf_matches_masked_oracle(fleet):
     assert same_bits(window, cum0[lo - off: hi - off + 1] + cum1[lo + off - 1: hi + off])
     assert same_bits(capacity_factor(pddf), cum1[-1])
     assert same_bits(pddf.total_mass(), cum0[-1] + cum1[-1])
+
+
+@SETTINGS
+@given(fleets(), st.data())
+def test_pddf_with_dirty_keys_matches_allocating_call(fleet, data):
+    cfg, n, m, p = fleet
+    # garbage the kernel overwrites; small, so that keys added onto it cannot
+    # send bincount after a histogram the size of memory
+    keys = data.draw(hnp.arrays(np.int64, n.size,
+                                elements=st.integers(-1, 2 * cfg.resolution + 2)))
+    expected = build_pddf_from_arrays(n, m, p, cfg)
+    for _ in range(2):  # the second call starts from the first call's keys
+        pddf = build_pddf_from_arrays(n, m, p, cfg, keys=keys)
+        assert same_bits(pddf.phi0, expected.phi0) and same_bits(pddf.phi1, expected.phi1)
+        assert same_bits(pddf.installed_capacity, expected.installed_capacity)
+        # the pair owns its arrays: reusing a buffer next interval cannot change it
+        for array in (pddf.phi0, pddf.phi1, pddf._cum1, pddf._window):
+            for buffer in (keys, n, m, p):
+                assert not np.shares_memory(array, buffer)
 
 
 def test_single_unit_pddf_matches_oracle():
@@ -292,6 +332,30 @@ def test_thermal_step_with_run_constants_matches_formula(data):
         float(capacitance[i]), float(resistance[i]), float(rated_power[i]),
         float(cop[i]), dt), outdoor, unit_noise)
     assert scalar == got[i]
+
+
+@SETTINGS
+@given(st.data())
+def test_thermal_step_into_out_matches_allocating_call(data):
+    size = data.draw(st.integers(1, 64))
+
+    def floats(lo, hi):
+        return data.draw(hnp.arrays(np.float64, size, elements=st.floats(lo, hi)))
+
+    theta, decay, lift = floats(-60.0, 60.0), floats(0.0, 1.0), floats(0.0, 100.0)
+    n = data.draw(hnp.arrays(np.int8, size, elements=st.integers(0, 1)))
+    outdoor = data.draw(st.floats(-40.0, 40.0))
+    noise = data.draw(st.one_of(st.just(0.0), st.just(-0.0), hnp.arrays(
+        np.float64, size, elements=st.floats(-1.0, 1.0))))
+    expected = thermal_step(theta, n, decay, lift, outdoor, noise)
+    # garbage the kernel overwrites
+    out, work = (data.draw(hnp.arrays(np.float64, size)) for _ in range(2))
+    original = theta.copy()
+    assert thermal_step(theta, n, decay, lift, outdoor, noise, out=out, work=work) is out
+    assert same_bits(out, expected) and same_bits(theta, original)
+    # the engine's form: the temperatures updated in place
+    got = thermal_step(theta, n, decay, lift, outdoor, noise, out=theta, work=work)
+    assert got is theta and same_bits(theta, expected)
 
 
 class DensityPair:
