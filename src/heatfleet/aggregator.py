@@ -145,14 +145,12 @@ class ControlDecision(NamedTuple):
 
 
 def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
-                           cfg: ThermostatConfig, keys=None) -> PowerDensityPair:
+                           cfg: ThermostatConfig) -> PowerDensityPair:
     """Vectorized PDDF construction from aligned report arrays.
 
     The checks below (1-d reports, at least one, every rated power > 0,
     every index in [0, R]) imply every invariant PowerDensityPair
-    validates, so the pair is built without validating it again. keys is
-    an optional int64 buffer, one entry per report, for the histogram keys;
-    its contents are overwritten, and the pair never shares memory with it.
+    validates, so the pair is built without validating it again.
     """
     n = np.asarray(machine_state)
     m = np.asarray(temperature_index)
@@ -169,9 +167,7 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
     p_cap = float(np.add.reduce(p))
     bins = cfg.resolution + 1
     # one histogram over [off bins | on bins]; each bin still sums in unit order
-    keys = np.multiply(n != 0, bins, out=keys)
-    keys += m
-    w = np.bincount(keys, weights=p, minlength=2 * bins)
+    w = np.bincount((n != 0) * bins + m, weights=p, minlength=2 * bins)
     w /= p_cap * cfg.grid_step
     return PowerDensityPair._from_valid(w, cfg.grid_step, p_cap)
 

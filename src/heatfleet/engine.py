@@ -343,10 +343,9 @@ class Simulation:
             population.cop, clock.dt_hours)
         self.installed_capacity = population.installed_capacity
         self._max_rated_power = float(population.rated_power.max())
-        # workspace: the equilibria, then quantize's arithmetic; indices; bincount keys
+        # workspace: the equilibria, then quantize's arithmetic; the indices
         self._work = np.empty(len(population))
         self._index = np.empty(len(population), dtype=np.int64)
-        self._keys = np.empty(len(population), dtype=np.int64)
         self.inputs = scenario.prepare(clock.horizon, clock.dt_minutes, self.rng_scenario)
 
     def run_interval(self) -> None:
@@ -378,7 +377,7 @@ class Simulation:
 
         # (3) power density pair
         pddf = aggregator.build_pddf_from_arrays(pop.machine_state, m,
-                                                 pop.rated_power, cfg, keys=self._keys)
+                                                 pop.rated_power, cfg)
         region = aggregator.feasible_region(pddf, cfg)
         phi_now = aggregator.capacity_factor(pddf)
         phi_hold = aggregator.cff(pddf, cfg.resolution // 2, cfg)

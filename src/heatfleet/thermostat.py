@@ -86,8 +86,9 @@ def quantize(theta_a, cfg: ThermostatConfig, out=None, work=None):
     the indices and work (float64) holds the arithmetic; each may be a buffer
     shaped like theta_a, and by default a new array is used.
     """
-    # out=... keeps a 0-d result an array, so every step below is in place
-    x = np.subtract(theta_a, cfg.setpoint, out=... if work is None else work, dtype=float)
+    # a 0-d buffer keeps a scalar's result an array, so every step below is in place
+    x = np.subtract(theta_a, cfg.setpoint, dtype=float,
+                    out=np.empty(np.shape(theta_a)) if work is None else work)
     x += cfg.deadband
     x /= cfg.grid_step
     # floor(x + 0.5) is half away from zero for x >= 0; every x < 0 clamps to 0

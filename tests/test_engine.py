@@ -223,10 +223,9 @@ class TestRunInterval:
                 sim.run()
 
 
-def test_interval_allocates_less_than_two_fleet_arrays():
-    # with the per-run workspace, the noise draw and the compressed rated
-    # powers (about N/2 of them, and as many int64 indices) are the only
-    # fleet-sized temporaries of an interval, and they are never alive at once
+def test_interval_allocates_less_than_three_fleet_arrays():
+    # with the per-run workspace the thermal step and quantize allocate no
+    # fleet-sized arrays; without it an interval peaks at about 4.5 x 8N bytes
     n = 100_000
     pop = generate_population(PopulationSpec(count=n, seed=61))
     sim = Simulation(pop, TrackingScenario(burn_in=2), SimulationClock(1.0, 4),
@@ -239,7 +238,7 @@ def test_interval_allocates_less_than_two_fleet_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 8 * n
+    assert peak < 3 * 8 * n
 
 
 def test_run_updates_temperatures_in_place_and_pairs_own_their_arrays():

@@ -239,25 +239,6 @@ def test_single_bincount_pddf_matches_masked_oracle(fleet):
     assert same_bits(pddf.total_mass(), cum0[-1] + cum1[-1])
 
 
-@SETTINGS
-@given(fleets(), st.data())
-def test_pddf_with_dirty_keys_matches_allocating_call(fleet, data):
-    cfg, n, m, p = fleet
-    # garbage the kernel overwrites; small, so that keys added onto it cannot
-    # send bincount after a histogram the size of memory
-    keys = data.draw(hnp.arrays(np.int64, n.size,
-                                elements=st.integers(-1, 2 * cfg.resolution + 2)))
-    expected = build_pddf_from_arrays(n, m, p, cfg)
-    for _ in range(2):  # the second call starts from the first call's keys
-        pddf = build_pddf_from_arrays(n, m, p, cfg, keys=keys)
-        assert same_bits(pddf.phi0, expected.phi0) and same_bits(pddf.phi1, expected.phi1)
-        assert same_bits(pddf.installed_capacity, expected.installed_capacity)
-        # the pair owns its arrays: reusing a buffer next interval cannot change it
-        for array in (pddf.phi0, pddf.phi1, pddf._cum1, pddf._window):
-            for buffer in (keys, n, m, p):
-                assert not np.shares_memory(array, buffer)
-
-
 def test_single_unit_pddf_matches_oracle():
     cfg = ThermostatConfig(resolution=8)
     for state in (0, 1):
