@@ -69,21 +69,22 @@ class PowerDensityPair:
             raise ValueError("phi0 and phi1 must be 1-d arrays of equal length")
         if phi0.size < 2:
             raise ValueError("need at least two grid points")
-        if (phi0 < 0.0).any() or (phi1 < 0.0).any():
-            raise ValueError("densities must be nonnegative")
-        if not self.installed_capacity > 0.0:
-            raise ValueError("installed_capacity must be > 0")
-        if not self.grid_step > 0.0:
-            raise ValueError("grid_step must be > 0")
-        self._set_densities(np.concatenate((phi0, phi1)))
+        densities = np.concatenate((phi0, phi1))
+        if not (np.isfinite(densities).all() and (densities >= 0.0).all()):
+            raise ValueError("densities must be finite and nonnegative")
+        if not (math.isfinite(self.installed_capacity) and self.installed_capacity > 0.0):
+            raise ValueError("installed_capacity must be finite and > 0")
+        if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
+            raise ValueError("grid_step must be finite and > 0")
+        self._set_densities(densities)
 
     @classmethod
     def _from_valid(cls, densities: np.ndarray, grid_step: float,
                     installed_capacity: float) -> "PowerDensityPair":
         """Construct without re-validating. The caller guarantees every
-        invariant __post_init__ checks: densities is the nonnegative 1-d
+        invariant __post_init__ checks: densities is the finite, nonnegative 1-d
         float array [phi0 | phi1] of even length >= 4, and both scalars
-        are > 0."""
+        are finite and > 0."""
         pair = object.__new__(cls)
         object.__setattr__(pair, "grid_step", grid_step)
         object.__setattr__(pair, "installed_capacity", installed_capacity)
@@ -148,9 +149,9 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
                            cfg: ThermostatConfig) -> PowerDensityPair:
     """Vectorized PDDF construction from aligned report arrays.
 
-    The checks below (1-d reports, at least one, every rated power > 0,
-    every index in [0, R]) imply every invariant PowerDensityPair
-    validates, so the pair is built without validating it again.
+    The checks below (1-d reports, at least one, rated powers > 0 with a
+    finite sum, every index in [0, R]) imply every invariant
+    PowerDensityPair validates, so the pair is built without validating it again.
     """
     n = np.asarray(machine_state)
     m = np.asarray(temperature_index)
@@ -165,6 +166,8 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
     if np.minimum.reduce(m) < 0 or np.maximum.reduce(m) > cfg.resolution:
         raise ValueError("temperature index outside [0, R]")
     p_cap = float(np.add.reduce(p))
+    if not math.isfinite(p_cap):
+        raise ValueError(f"installed capacity must be finite, got {p_cap}")
     bins = cfg.resolution + 1
     # one histogram over [off bins | on bins]; each bin still sums in unit order
     w = np.bincount((n != 0) * bins + m, weights=p, minlength=2 * bins)

@@ -7,15 +7,16 @@ The manifest emitted with each run wraps the fully resolved config under a
 "config" key plus a "meta" block; load_config accepts either form, so a
 manifest can be re-run directly.
 
-The sections decode straight into the domain dataclasses: clock into
-SimulationClock, thermostat into ThermostatConfig, each distribution into
-ParameterDist, and wind.turbine, wind.nominal and wind.synthetic into
-TurbineModel, NominalLoadModel and SyntheticWeather. The root, population,
-tracking and wind sections are the small dataclasses below. One codec
-converts between JSON and all of them: it checks each value's type and
-each section's keys, builds every object through its constructor, and
+RunConfig is the root section. Every other section decodes straight into
+the domain class that uses it, which states its defaults and checks its
+ranges: clock into SimulationClock, population into PopulationSpec,
+thermostat into ThermostatConfig, tracking into TrackingScenario, wind into
+WindScenario, each distribution into ParameterDist, and wind.turbine,
+wind.nominal and wind.synthetic into TurbineModel, NominalLoadModel and
+SyntheticWeather. The fields the run sets, not the file, have no key. One
+codec converts between JSON and all of them: it checks each value's type
+and each section's keys, builds every object through its constructor, and
 reports the constructor's ValueError as a ConfigError naming the section.
-Range checks live in the constructors only.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import math
 import os
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .engine import ParameterDist, PopulationSpec, SimulationClock
@@ -41,9 +42,6 @@ from .scenarios import (
 from .thermostat import ThermostatConfig
 
 __all__ = [
-    "PopulationConfig",
-    "TrackingConfig",
-    "WindConfig",
     "RunConfig",
     "load_config",
     "config_from_dict",
@@ -55,9 +53,14 @@ OUTPUT_DIR_ENV = "HEATFLEET_OUT"
 SCENARIO_DEFAULT_HORIZON = {"tracking": 400, "wind": 1440}
 SCENARIO_DEFAULT_COUNT = {"tracking": 1000, "wind": 2000}
 
-# the documented JSON key of every domain field whose name differs from it
+# the documented JSON key of every domain field whose name differs from it;
+# None marks a field that the run sets, which no file or manifest holds
 JSON_NAMES = {
     ParameterDist: {"kind": "dist"},
+    PopulationSpec: {"capacitance": "capacitance_kwh_per_c",
+                     "resistance": "resistance_c_per_kw", "rated_power": "rated_power_kw",
+                     "process_noise_sd": "process_noise_sd_c", "thermostat": None,
+                     "initial_outdoor_temp": None, "seed": None},
     ThermostatConfig: {"setpoint": "setpoint_c", "deadband": "deadband_c"},
     TurbineModel: {"cut_in": "cut_in_mps", "rated_speed": "rated_mps",
                    "cut_out": "cut_out_mps", "rated_power": "rated_power_kw",
@@ -67,83 +70,13 @@ JSON_NAMES = {
                        "wind_reversion_per_hour": "wind_reversion_per_h",
                        "temp_mean": "temp_mean_c", "temp_sd": "temp_sd_c",
                        "temp_reversion_per_hour": "temp_reversion_per_h"},
+    TrackingScenario: {"outdoor_temp": "outdoor_temp_c"},
+    WindScenario: {"controlled": None},
 }
 
 # the parameters of each distribution kind: a distribution object holds
 # "dist" and exactly these keys
 DIST_KEYS = {"constant": ("value",), "uniform": ("low", "high"), "lognormal": ("mean", "sd")}
-
-
-@dataclass(frozen=True)
-class PopulationConfig:
-    """The population section. PopulationSpec checks count and process_noise_sd_c."""
-
-    count: int = 1000
-    capacitance_kwh_per_c: ParameterDist = ParameterDist.lognormal(2.5, 0.5)
-    resistance_c_per_kw: ParameterDist = ParameterDist.lognormal(2.0, 0.4)
-    rated_power_kw: ParameterDist = ParameterDist.uniform(3.0, 5.0)
-    cop: ParameterDist = ParameterDist.constant(3.5)
-    process_noise_sd_c: float = 0.01
-
-    def __post_init__(self) -> None:
-        self.spec()
-
-    def spec(self, **run) -> PopulationSpec:
-        """The fleet description; run gives its thermostat, initial_outdoor_temp and seed."""
-        return PopulationSpec(
-            count=self.count,
-            capacitance=self.capacitance_kwh_per_c,
-            resistance=self.resistance_c_per_kw,
-            rated_power=self.rated_power_kw,
-            cop=self.cop,
-            process_noise_sd=self.process_noise_sd_c,
-            **run,
-        )
-
-
-@dataclass(frozen=True)
-class TrackingConfig:
-    """The tracking section. TrackingScenario checks burn_in and ar_coefficient."""
-
-    burn_in: int = 100
-    outdoor_temp_c: float = 4.0
-    phi_steady: float | None = None
-    ar_coefficient: float = 0.9
-    disturbance_scale: float = 0.25
-
-    def __post_init__(self) -> None:
-        self.scenario()
-
-    def scenario(self) -> TrackingScenario:
-        return TrackingScenario(
-            outdoor_temp=self.outdoor_temp_c, burn_in=self.burn_in,
-            phi_steady=self.phi_steady, ar_coefficient=self.ar_coefficient,
-            disturbance_scale=self.disturbance_scale,
-        )
-
-
-@dataclass(frozen=True)
-class WindConfig:
-    """The wind section. WindScenario checks burn_in and start_hour."""
-
-    burn_in: int = 100
-    start_hour: float = 0.0
-    series_file: str | None = None
-    synthetic: SyntheticWeather = SyntheticWeather()
-    turbine: TurbineModel = TurbineModel()
-    nominal: NominalLoadModel = NominalLoadModel()
-
-    def __post_init__(self) -> None:
-        if self.series_file is not None and not Path(self.series_file).is_file():
-            raise ValueError(f"series_file: file not found: {self.series_file}")
-        self.scenario(self.synthetic, controlled=True)
-
-    def scenario(self, weather, controlled: bool) -> WindScenario:
-        """One arm of the wind pair; weather is SyntheticWeather or ingested arrays."""
-        return WindScenario(
-            turbine=self.turbine, nominal=self.nominal, weather=weather,
-            burn_in=self.burn_in, controlled=controlled, start_hour=self.start_hour,
-        )
 
 
 @dataclass(frozen=True)
@@ -154,10 +87,10 @@ class RunConfig:
     seed: int = 12345
     output_dir: str = ""
     clock: SimulationClock = SimulationClock()
-    population: PopulationConfig = PopulationConfig()
+    population: PopulationSpec = PopulationSpec()
     thermostat: ThermostatConfig = ThermostatConfig()
-    tracking: TrackingConfig = TrackingConfig()
-    wind: WindConfig = WindConfig()
+    tracking: TrackingScenario = field(default_factory=TrackingScenario)
+    wind: WindScenario = WindScenario()
     diagnostics: bool = False
 
     def __post_init__(self) -> None:
@@ -246,11 +179,13 @@ def _decoder(tp):
 
 @functools.cache
 def _fields(cls) -> dict[str, tuple[str, typing.Callable]]:
-    """JSON key -> (field name, decoder) for one config class, resolved once."""
+    """JSON key -> (field name, decoder) for one config class, resolved once.
+    Run state (init=False) and the fields the run sets have no key."""
     names = JSON_NAMES.get(cls, {})
     hints = typing.get_type_hints(cls)
-    return {names.get(f.name, f.name): (f.name, _decoder(hints[f.name]))
-            for f in dataclasses.fields(cls)}
+    return {key: (f.name, _decoder(hints[f.name]))
+            for f in dataclasses.fields(cls) if f.init
+            for key in [names.get(f.name, f.name)] if key is not None}
 
 
 def _decode(cls, raw, path: str):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,9 +29,9 @@ def _diagnostic_sink(config: RunConfig, out_dir: Path, label: str):
 def write_tracking_outputs(config: RunConfig, out_dir: Path | None = None) -> Path:
     """Run the signal-tracking scenario and write its bundle."""
     out = resolve_output_dir(config, out_dir)
-    spec = config.population.spec(thermostat=config.thermostat, seed=config.seed,
-                                  initial_outdoor_temp=config.tracking.outdoor_temp_c)
-    series = run_simulation(spec, config.tracking.scenario(), config.clock,
+    spec = replace(config.population, thermostat=config.thermostat, seed=config.seed,
+                   initial_outdoor_temp=config.tracking.outdoor_temp)
+    series = run_simulation(spec, config.tracking, config.clock,
                             diagnostic_sink=_diagnostic_sink(config, out, "tracking"))
     seriesio.write_series(out / "tracking_series.csv", series)
     seriesio.write_manifest(out / "manifest.json", config, __version__)
@@ -44,14 +45,11 @@ def write_wind_outputs(config: RunConfig, out_dir: Path | None = None) -> Path:
     nominal-load realization."""
     out = resolve_output_dir(config, out_dir)
     wind = config.wind
-    spec = config.population.spec(thermostat=config.thermostat, seed=config.seed,
-                                  initial_outdoor_temp=wind.synthetic.temp_mean)
-    weather = (wind.synthetic if wind.series_file is None
-               else seriesio.ingest_series(wind.series_file, config.clock))
+    spec = replace(config.population, thermostat=config.thermostat, seed=config.seed,
+                   initial_outdoor_temp=wind.synthetic.temp_mean)
     sink = _diagnostic_sink(config, out, "wind_controlled")
-    arms = {"controlled": run_simulation(spec, wind.scenario(weather, True), config.clock,
-                                         diagnostic_sink=sink),
-            "uncontrolled": run_simulation(spec, wind.scenario(weather, False), config.clock)}
+    arms = {"controlled": run_simulation(spec, wind, config.clock, diagnostic_sink=sink),
+            "uncontrolled": run_simulation(spec, replace(wind, controlled=False), config.clock)}
     for label, series in arms.items():
         seriesio.write_series(out / f"wind_{label}_series.csv", series)
         if len(series) >= 2:

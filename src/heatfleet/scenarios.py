@@ -18,9 +18,13 @@ sim and returns the next target, or None to hold the set-point offset at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
+
+from .engine import SimulationClock
+from .seriesio import ingest_series
 
 __all__ = [
     "TurbineModel",
@@ -237,6 +241,7 @@ def _constant_inputs(horizon: int, outdoor_temp: float) -> ScenarioInputs:
     return ScenarioInputs(np.full(n, outdoor_temp), np.zeros(n), np.zeros(n))
 
 
+@dataclass
 class TrackingScenario:
     """Fig.-1 style signal tracking: constant outdoor temperature, no wind or
     nominal load, stochastic feasible target after the burn-in.
@@ -247,33 +252,33 @@ class TrackingScenario:
     the feasible region.
     """
 
-    def __init__(self, outdoor_temp: float = 4.0, burn_in: int = 100,
-                 phi_steady: float | None = None, ar_coefficient: float = 0.9,
-                 disturbance_scale: float = 0.25):
-        if burn_in < 0:
-            raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-        if not 0.0 <= ar_coefficient < 1.0:
-            raise ValueError(f"ar_coefficient must be in [0, 1), got {ar_coefficient!r}")
-        self.outdoor_temp_value = outdoor_temp
-        self.burn_in = burn_in
-        self.phi_steady = phi_steady
-        self.ar_coefficient = ar_coefficient
-        self.disturbance_scale = disturbance_scale
-        self._steady: float | None = phi_steady
-        self._z = 0.0
+    outdoor_temp: float = 4.0
+    burn_in: int = 100
+    phi_steady: float | None = None
+    ar_coefficient: float = 0.9
+    disturbance_scale: float = 0.25
+    # run state: the steady level once known, and the AR(1) state
+    _steady: float | None = field(default=None, init=False, compare=False, repr=False)
+    _z: float = field(default=0.0, init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
+        if not 0.0 <= self.ar_coefficient < 1.0:
+            raise ValueError(f"ar_coefficient must be in [0, 1), got {self.ar_coefficient!r}")
 
     def prepare(self, horizon: int, dt_minutes: float,
                 rng: np.random.Generator) -> ScenarioInputs:
         # start every run from the constructor's state, so runs do not leak into each other
-        self._steady = self.phi_steady
+        self._steady = None
         self._z = 0.0
-        return _constant_inputs(horizon, self.outdoor_temp_value)
+        return _constant_inputs(horizon, self.outdoor_temp)
 
     def phi_target(self, sim, phi_now: float, region) -> float | None:
         if sim.k < self.burn_in:
             return None
         if self._steady is None:
-            self._steady = phi_now
+            self._steady = phi_now if self.phi_steady is None else self.phi_steady
         lo, hi = region.phi_min, region.phi_max
         if lo > hi:
             raise ValueError(f"empty region [{lo}, {hi}]")
@@ -284,18 +289,17 @@ class TrackingScenario:
         return min(max(raw, lo), hi)
 
 
+@dataclass(frozen=True)
 class SaturationScenario:
     """Stress policy: demand more than the feasible maximum every interval."""
 
-    def __init__(self, outdoor_temp: float = 4.0, burn_in: int = 100,
-                 overshoot: float = 0.1):
-        self.outdoor_temp_value = outdoor_temp
-        self.burn_in = burn_in
-        self.overshoot = overshoot
+    outdoor_temp: float = 4.0
+    burn_in: int = 100
+    overshoot: float = 0.1
 
     def prepare(self, horizon: int, dt_minutes: float,
                 rng: np.random.Generator) -> ScenarioInputs:
-        return _constant_inputs(horizon, self.outdoor_temp_value)
+        return _constant_inputs(horizon, self.outdoor_temp)
 
     def phi_target(self, sim, phi_now: float, region) -> float | None:
         if sim.k < self.burn_in:
@@ -303,47 +307,43 @@ class SaturationScenario:
         return region.phi_max + self.overshoot
 
 
+@dataclass(frozen=True)
 class WindScenario:
     """Wind-regulation scenario: turbines plus diurnal nominal load.
 
-    weather is either a SyntheticWeather generator config or a pre-ingested
-    (wind_mps, outdoor_c) array pair covering horizon+1 intervals. The
-    controller reads the exogenous arrays one step ahead (perfect one-step
-    foreknowledge). With controlled=False the policy never requests a
-    target, leaving every set-point offset at zero.
+    The weather is read from series_file when it is set, and drawn from the
+    synthetic generator otherwise. The controller reads the exogenous
+    arrays one step ahead (perfect one-step foreknowledge). With
+    controlled=False the policy never requests a target, leaving every
+    set-point offset at zero.
     """
 
-    def __init__(self, turbine: TurbineModel, nominal: NominalLoadModel,
-                 weather: SyntheticWeather | tuple[np.ndarray, np.ndarray],
-                 burn_in: int = 100, controlled: bool = True,
-                 start_hour: float = 0.0):
-        if burn_in < 2:
+    turbine: TurbineModel = TurbineModel()
+    nominal: NominalLoadModel = NominalLoadModel()
+    synthetic: SyntheticWeather = SyntheticWeather()
+    series_file: str | None = None
+    burn_in: int = 100
+    start_hour: float = 0.0
+    controlled: bool = True
+
+    def __post_init__(self) -> None:
+        if self.burn_in < 2:
             raise ValueError(
-                f"wind regulation needs burn_in >= 2 to seed the load history, got {burn_in}"
+                f"wind regulation needs burn_in >= 2 to seed the load history, got {self.burn_in}"
             )
-        if not 0.0 <= start_hour < 24.0:
-            raise ValueError(f"start_hour must be in [0, 24), got {start_hour!r}")
-        self.turbine = turbine
-        self.nominal = nominal
-        self.weather = weather
-        self.burn_in = burn_in
-        self.controlled = controlled
-        self.start_hour = start_hour
+        if not 0.0 <= self.start_hour < 24.0:
+            raise ValueError(f"start_hour must be in [0, 24), got {self.start_hour!r}")
+        if self.series_file is not None and not Path(self.series_file).is_file():
+            raise ValueError(f"series_file: file not found: {self.series_file}")
 
     def prepare(self, horizon: int, dt_minutes: float,
                 rng: np.random.Generator) -> ScenarioInputs:
         n = horizon + 1
-        if isinstance(self.weather, SyntheticWeather):
-            _, wind_mps, outdoor = generate_weather(self.weather, n, dt_minutes, rng)
+        if self.series_file is None:
+            _, wind_mps, outdoor = generate_weather(self.synthetic, n, dt_minutes, rng)
         else:
-            wind_mps, outdoor = self.weather
-            if len(wind_mps) < n or len(outdoor) < n:
-                raise ValueError(
-                    f"weather series of length {len(wind_mps)} cannot cover "
-                    f"{horizon} intervals plus one step of foreknowledge"
-                )
-            wind_mps = np.asarray(wind_mps, dtype=float)[:n]
-            outdoor = np.asarray(outdoor, dtype=float)[:n]
+            wind_mps, outdoor = ingest_series(self.series_file,
+                                              SimulationClock(dt_minutes, horizon))
         wind_kw = turbine_power(wind_mps, self.turbine)
         tod = np.mod(self.start_hour + np.arange(n) * dt_minutes / 60.0, 24.0)
         draws = rng.standard_normal(n)

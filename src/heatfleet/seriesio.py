@@ -19,7 +19,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
 from .engine import ScenarioSeries, SimulationClock
 from .errors import SeriesError
 
@@ -190,8 +189,8 @@ def write_pddf_dump(path, k: int, pddf, decision) -> None:
         fh.write(head + "".join(rows))
 
 
-def write_manifest(path, config: RunConfig, version: str) -> None:
-    """Resolved config plus code version; loadable back as a config."""
+def write_manifest(path, config, version: str) -> None:
+    """A RunConfig's JSON form plus the code version; loadable back as a config."""
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     manifest = {"config": config.to_dict(), "meta": {"code_version": version}}

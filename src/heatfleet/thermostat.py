@@ -11,7 +11,8 @@ grid (deadband/2 in temperature) on either side of the broadcast set-point
 index m_s, and the set-point offset itself is limited to R/8 index units
 (deadband/4). R must be a multiple of 8 so both offsets are exact integers.
 
-All functions accept numpy arrays in place of scalar n/m/theta arguments.
+quantize and hysteresis_update accept numpy arrays in place of scalar
+n/m/theta arguments; measurement_temperature takes one scalar index.
 """
 
 from __future__ import annotations

@@ -84,7 +84,7 @@ def wind_pair():
     for controlled in (True, False):
         scenario = WindScenario(
             turbine=config.wind.turbine, nominal=config.wind.nominal,
-            weather=config.wind.synthetic, burn_in=100, controlled=controlled,
+            synthetic=config.wind.synthetic, burn_in=100, controlled=controlled,
         )
         arms.append(run_simulation(spec, scenario, clock))
     return arms[0], arms[1]

@@ -102,6 +102,14 @@ class TestBuildPddf:
             build_pddf_from_arrays(np.array([1, 0]), np.array([2, 3]),
                                    np.array([4.0, bad]), CFG8)
 
+    @pytest.mark.parametrize("power", [[4.0, np.inf], [1e308, 1e308]])
+    def test_non_finite_capacity_rejected(self, power):
+        # an infinite capacity would divide one density to nan, unchecked; the
+        # second sum overflows, which numpy also warns about
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match="installed capacity must be finite"):
+            build_pddf_from_arrays(np.array([1, 0]), np.array([2, 3]), np.array(power), CFG8)
+
     def test_normalization_and_nonnegativity(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
@@ -349,6 +357,25 @@ def test_density_invariants_enforced():
     with pytest.raises(ValueError):
         PowerDensityPair(phi0=np.zeros(2), phi1=np.zeros(2),
                          grid_step=0.25, installed_capacity=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_densities_rejected(bad):
+    # a nan compares false against 0, so a sign check alone lets it through
+    phi1 = np.full(CFG8.resolution + 1, 0.5)
+    phi1[3] = bad
+    with pytest.raises(ValueError, match="densities must be finite"):
+        PowerDensityPair(phi0=np.zeros(CFG8.resolution + 1), phi1=phi1,
+                         grid_step=CFG8.grid_step, installed_capacity=1.0)
+
+
+@pytest.mark.parametrize("scalar", ["grid_step", "installed_capacity"])
+def test_infinite_pair_scalars_rejected(scalar):
+    # an infinite grid step turns every zero density's fraction into nan
+    scalars = {"grid_step": CFG8.grid_step, "installed_capacity": 1.0, scalar: np.inf}
+    with pytest.raises(ValueError, match=f"{scalar} must be finite"):
+        PowerDensityPair(phi0=np.zeros(CFG8.resolution + 1),
+                         phi1=np.full(CFG8.resolution + 1, 0.5), **scalars)
 
 
 # ---------------------------------------------------------------------------

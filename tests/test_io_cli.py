@@ -11,7 +11,7 @@ from heatfleet.config import RunConfig, config_from_dict, load_config
 from heatfleet.engine import SimulationClock
 from heatfleet.errors import ConfigError, SeriesError
 from heatfleet.scenarios import SyntheticWeather, generate_weather, turbine_power
-from heatfleet.runner import generate_wind_file
+from heatfleet.runner import generate_wind_file, write_tracking_outputs
 from heatfleet.seriesio import (
     ingest_series,
     read_series,
@@ -43,7 +43,7 @@ class TestLoadConfig:
         assert cfg.population.count == 1000
         assert cfg.clock.horizon == 400
         assert cfg.tracking.burn_in == 100
-        assert cfg.population.capacitance_kwh_per_c.kind == "lognormal"
+        assert cfg.population.capacitance.kind == "lognormal"
 
     def test_wind_scenario_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, {"scenario": "wind"}))
@@ -145,7 +145,16 @@ INVALID_AT_LOAD = [
     ("wind", {"wind": {"burn_in": 1}}),
     ("wind", {"wind": {"start_hour": 24}}),
     ("clock", {"clock": {"dt_minutes": 0}}),
+    # set by the run, so never read from a file (see RUN_SET_KEYS)
+    ("population", {"population": {"seed": 7}}),
+    ("population", {"population": {"thermostat": {"resolution": 8}}}),
+    ("population", {"population": {"initial_outdoor_temp": 4.0}}),
+    ("wind", {"wind": {"controlled": False}}),
 ]
+
+# the domain fields that the run sets: they have no JSON key
+RUN_SET_KEYS = {"population": ["seed", "thermostat", "initial_outdoor_temp"],
+                "wind": ["controlled"]}
 
 
 @pytest.mark.parametrize("path, data", INVALID_AT_LOAD)
@@ -157,6 +166,14 @@ def test_invalid_value_rejected_at_load(tmp_path, capsys, path, data):
     assert main(["gen-wind", "--config", str(config), "--out", str(tmp_path / "g")]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err
     assert not (tmp_path / "w").exists() and not (tmp_path / "g").exists()
+
+
+def test_run_set_fields_are_unknown_keys():
+    for section, keys in RUN_SET_KEYS.items():
+        for key in keys:
+            with pytest.raises(ConfigError, match=rf"^{section}: unknown keys \['{key}'\]"):
+                config_from_dict({section: {key: None}})
+        assert not set(keys) & config_from_dict({}).to_dict()[section].keys()
 
 
 @pytest.mark.parametrize("command", ["track", "wind"])
@@ -435,6 +452,19 @@ class TestCli:
                  "summary.json", "manifest.json"]
         for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_one_config_runs_twice_to_the_same_bytes(tmp_path):
+    # the tracking scenario that runs is the config's own, so its run state
+    # must not leak from one run into the next, nor into config equality
+    raw = {"seed": 5, "clock": {"horizon": 60}, "population": {"count": 50},
+           "tracking": {"burn_in": 10}}
+    config = config_from_dict(raw)
+    first = write_tracking_outputs(config, tmp_path / "first")
+    second = write_tracking_outputs(config, tmp_path / "second")
+    for name in ("tracking_series.csv", "summary.json", "manifest.json"):
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    assert config == config_from_dict(raw)
 
 
 def test_default_runconfig_matches_resolved_empty():

@@ -1,5 +1,6 @@
 """Scenario model tests: turbine curve, nominal load, regulation target, gradients."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from heatfleet.scenarios import (
     turbine_power,
     wind_target,
 )
+from heatfleet.seriesio import write_exogenous
 
 TURBINE = TurbineModel(cut_in=3.0, rated_speed=12.0, cut_out=25.0,
                        rated_power=2500.0, turbine_count=2)
@@ -76,53 +78,56 @@ class FixedDraws:
         return self.value if size is None else np.full(size, self.value)
 
 
-def nominal_kw(rng, horizon=10, dt_minutes=60.0, start_hour=0.0, model=NominalLoadModel()):
+def nominal_kw(tmp_path, rng, horizon=10, dt_minutes=60.0, start_hour=0.0,
+               model=NominalLoadModel()):
     """WindScenario.prepare's nominal load, one sample per interval from start_hour.
 
-    The weather is ingested, so rng feeds only the load fluctuations.
+    The weather is read from a calm series file on the interval grid, so rng
+    feeds only the load fluctuations.
     """
     n = horizon + 1
-    scenario = WindScenario(TurbineModel(), model, (np.zeros(n), np.full(n, 4.0)),
-                            start_hour=start_hour)
+    path = tmp_path / "calm.csv"
+    write_exogenous(path, np.arange(n) * dt_minutes, np.zeros(n), np.full(n, 4.0))
+    scenario = WindScenario(nominal=model, series_file=str(path), start_hour=start_hour)
     return scenario.prepare(horizon, dt_minutes, rng).nominal_kw
 
 
 class TestNominalLoad:
-    def test_zero_draw_gives_profile(self):
+    def test_zero_draw_gives_profile(self, tmp_path):
         model = NominalLoadModel()
         hours = np.arange(11.0)
-        assert np.array_equal(nominal_kw(FixedDraws(0.0)), model.profile(hours))
+        assert np.array_equal(nominal_kw(tmp_path, FixedDraws(0.0)), model.profile(hours))
 
-    def test_off_peak_one_sigma(self):
+    def test_off_peak_one_sigma(self, tmp_path):
         model = NominalLoadModel()
         # hours 0-5 sit at the off-peak level
-        loads = nominal_kw(FixedDraws(1.0), horizon=5)
+        loads = nominal_kw(tmp_path, FixedDraws(1.0), horizon=5)
         assert loads == pytest.approx(np.full(6, model.off_peak_level * 1.10), rel=1e-12)
 
     def test_fluctuation_sd_is_ten_percent_of_off_peak(self):
         model = NominalLoadModel(off_peak_level=1234.0)
         assert model.fluctuation_sd == pytest.approx(123.4, rel=1e-12)
 
-    def test_monte_carlo_sd(self):
+    def test_monte_carlo_sd(self, tmp_path):
         model = NominalLoadModel()
         # 100 000 samples 0.06 s apart: all within the flat off-peak hours 0-5
-        samples = nominal_kw(np.random.default_rng(71), horizon=99_999, dt_minutes=0.001)
+        samples = nominal_kw(tmp_path, np.random.default_rng(71), horizon=99_999,
+                             dt_minutes=0.001)
         assert np.std(samples, ddof=1) == pytest.approx(model.fluctuation_sd, rel=0.05)
 
-    def test_floored_at_zero(self):
-        assert (nominal_kw(FixedDraws(-100.0)) == 0.0).all()
+    def test_floored_at_zero(self, tmp_path):
+        assert (nominal_kw(tmp_path, FixedDraws(-100.0)) == 0.0).all()
 
-    def test_time_of_day_validated(self):
+    def test_time_of_day_validated(self, tmp_path):
         with pytest.raises(ConfigError, match=r"^wind: start_hour must be in \[0, 24\)"):
             config_from_dict({"scenario": "wind", "wind": {"start_hour": 24}})
         # the scenario checks it, so a library caller gets the same check
         for hour in (24.0, -0.5):
             with pytest.raises(ValueError, match=r"^start_hour must be in \[0, 24\)"):
-                WindScenario(TurbineModel(), NominalLoadModel(),
-                             (np.zeros(3), np.full(3, 4.0)), start_hour=hour)
+                WindScenario(start_hour=hour)
         # the time of day wraps past midnight onto the periodic profile
         model = NominalLoadModel()
-        loads = nominal_kw(FixedDraws(0.0), horizon=2, start_hour=23.0)
+        loads = nominal_kw(tmp_path, FixedDraws(0.0), horizon=2, start_hour=23.0)
         assert np.array_equal(loads, model.profile(np.array([23.0, 0.0, 1.0])))
 
     def test_profile_periodic(self):
@@ -225,8 +230,7 @@ class TestWindTarget:
 
 def test_wind_policy_reads_the_forecast_at_k_and_the_two_loads_before():
     n = 6
-    scenario = WindScenario(TurbineModel(), NominalLoadModel(),
-                            (np.zeros(n), np.full(n, 4.0)), burn_in=2)
+    scenario = WindScenario(burn_in=2)
     inputs = ScenarioInputs(np.full(n, 4.0), 1000.0 + 100.0 * np.arange(n),
                             10.0 * np.arange(n))
     sim = SimpleNamespace(k=4, inputs=inputs, installed_capacity=4000.0,
@@ -236,7 +240,7 @@ def test_wind_policy_reads_the_forecast_at_k_and_the_two_loads_before():
     sim.k = 1
     assert scenario.phi_target(sim, 0.5, None) is None
     sim.k = 4
-    scenario.controlled = False
+    scenario = replace(scenario, controlled=False)
     assert scenario.phi_target(sim, 0.5, None) is None
 
 
