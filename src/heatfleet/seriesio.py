@@ -14,6 +14,7 @@ identical runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from pathlib import Path
 
@@ -112,14 +113,21 @@ def ingest_series(path, clock: SimulationClock) -> tuple[np.ndarray, np.ndarray]
     return wind[idx], temp[idx]
 
 
+def _write_bytes(path: Path, data: bytes) -> None:
+    """Write data to path with one call, creating the directory if it is missing."""
+    try:
+        path.write_bytes(data)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+
+
 def _write_csv(path, header, columns) -> None:
     """Write the columns as csv.writer would: fields joined by commas, every
     row ending in ``\r\n``, each value as its repr(). The file is built as
     one string and written with one call."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
     rows = map(",".join, zip(*(map(repr, column) for column in columns)))
-    p.write_text("".join(f"{row}\r\n" for row in (",".join(header), *rows)), newline="")
+    _write_bytes(Path(path), "".join(f"{row}\r\n" for row in (",".join(header), *rows)).encode())
 
 
 def _floats(values) -> list[float]:
@@ -163,13 +171,19 @@ def _density_column(phi: np.ndarray) -> list[str]:
     return text
 
 
-def write_pddf_dump(path, k: int, pddf, decision) -> None:
+@functools.lru_cache(maxsize=8)
+def _grid_labels(size: int) -> tuple[str, ...]:
+    return tuple(map(str, range(size)))
+
+
+def write_pddf_dump(path, k: int, pddf, decision, writer=None):
     """Per-interval diagnostic dump of the densities and the decision.
 
     One ``#`` header line ending in ``\n``, then the ``m,phi0,phi1`` header
-    and one row per grid index, each ending in ``\r\n``. The dump is built
-    as one string and written with one call; the first dump of a run creates
-    the directory.
+    and one row per grid index, each ending in ``\r\n``. It is built here;
+    without a writer it is written before this returns, else handed to the
+    writer (a run's one background thread) and the write's Future returned.
+    The runner returns or raises only after every dump of its run is on disk.
     """
     head = (f"# k={k} ms_min={decision.ms_min} ms_max={decision.ms_max} "
             f"phi_min={_fmt(decision.phi_min)} phi_max={_fmt(decision.phi_max)} "
@@ -179,25 +193,18 @@ def write_pddf_dump(path, k: int, pddf, decision) -> None:
             "m,phi0,phi1\r\n")
     phi0 = _density_column(pddf.phi0)
     phi1 = _density_column(pddf.phi1)
-    rows = [f"{m},{a},{b}\r\n" for m, a, b in zip(range(len(phi0)), phi0, phi1)]
-    try:
-        fh = open(path, "w", newline="")
-    except FileNotFoundError:
-        Path(path).parent.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "w", newline="")
-    with fh:
-        fh.write(head + "".join(rows))
+    rows = "\r\n".join(map(",".join, zip(_grid_labels(len(phi0)), phi0, phi1)))
+    data = f"{head}{rows}\r\n".encode()
+    if writer is None:
+        return _write_bytes(Path(path), data)
+    return writer.submit(_write_bytes, Path(path), data)
 
 
 def write_manifest(path, config, version: str) -> None:
     """A RunConfig's JSON form plus the code version; loadable back as a config."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
     manifest = {"config": config.to_dict(), "meta": {"code_version": version}}
-    p.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_bytes(Path(path), (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
 
 
 def write_summary(path, summary: dict) -> None:
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    p.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _write_bytes(Path(path), (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
