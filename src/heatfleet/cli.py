@@ -6,7 +6,7 @@ Subcommands:
     gen-wind   emit a synthetic wind-speed / outdoor-temperature series
     gradient   post-process an existing series file into a power-gradient histogram
 
-Exit codes: 0 success, 1 unexpected error, 2 configuration error,
+Exit codes: 0 success, 1 unexpected or output error, 2 configuration error,
 3 series-input error, 4 simulation error.
 """
 
@@ -120,7 +120,7 @@ def main(argv=None) -> int:
     except EngineError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_ENGINE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -13,8 +13,9 @@ ranges: clock into SimulationClock, population into PopulationSpec,
 thermostat into ThermostatConfig, tracking into TrackingScenario, wind into
 WindScenario, each distribution into ParameterDist, and wind.turbine,
 wind.nominal and wind.synthetic into TurbineModel, NominalLoadModel and
-SyntheticWeather. The fields the run sets, not the file, have no key. One
-codec converts between JSON and all of them: it checks each value's type
+SyntheticWeather. Every section is a frozen value: a scenario keeps its run
+state in Simulation.scenario_state, and the fields the run sets have no key.
+One codec converts between JSON and all of them: it checks each value's type
 and each section's keys, builds every object through its constructor, and
 reports the constructor's ValueError as a ConfigError naming the section.
 """
@@ -27,7 +28,7 @@ import json
 import math
 import os
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .engine import ParameterDist, PopulationSpec, SimulationClock
@@ -89,7 +90,7 @@ class RunConfig:
     clock: SimulationClock = SimulationClock()
     population: PopulationSpec = PopulationSpec()
     thermostat: ThermostatConfig = ThermostatConfig()
-    tracking: TrackingScenario = field(default_factory=TrackingScenario)
+    tracking: TrackingScenario = TrackingScenario()
     wind: WindScenario = WindScenario()
     diagnostics: bool = False
 
@@ -180,11 +181,11 @@ def _decoder(tp):
 @functools.cache
 def _fields(cls) -> dict[str, tuple[str, typing.Callable]]:
     """JSON key -> (field name, decoder) for one config class, resolved once.
-    Run state (init=False) and the fields the run sets have no key."""
+    The fields the run sets have no key."""
     names = JSON_NAMES.get(cls, {})
     hints = typing.get_type_hints(cls)
     return {key: (f.name, _decoder(hints[f.name]))
-            for f in dataclasses.fields(cls) if f.init
+            for f in dataclasses.fields(cls)
             for key in [names.get(f.name, f.name)] if key is not None}
 
 

@@ -317,8 +317,8 @@ class Simulation:
 
     Each interval the engine calls scenario.phi_target(sim, phi_now, region)
     with itself as sim. A scenario may read k (the interval being decided),
-    rng_scenario, inputs, the columns of the intervals before k and
-    installed_capacity; it changes nothing but the state of rng_scenario.
+    inputs, the columns before k and installed_capacity; it may change only
+    rng_scenario and scenario_state, a dict that each run starts empty.
     """
 
     def __init__(self, population: Population, scenario, clock: SimulationClock,
@@ -330,6 +330,7 @@ class Simulation:
         self.rng_noise = np.random.default_rng(noise_seed)
         self.rng_scenario = np.random.default_rng(scenario_seed)
         self.diagnostic_sink = diagnostic_sink
+        self.scenario_state = {}
         self.k = 0
         self._prev_switched = np.zeros(len(population), dtype=bool)
         n = clock.horizon

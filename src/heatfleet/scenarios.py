@@ -18,7 +18,7 @@ sim and returns the next target, or None to hold the set-point offset at zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -241,15 +241,15 @@ def _constant_inputs(horizon: int, outdoor_temp: float) -> ScenarioInputs:
     return ScenarioInputs(np.full(n, outdoor_temp), np.zeros(n), np.zeros(n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackingScenario:
     """Fig.-1 style signal tracking: constant outdoor temperature, no wind or
     nominal load, stochastic feasible target after the burn-in.
 
     The target is a steady level (phi_steady, or the capacity factor at the
     end of the burn-in) plus a unit-variance AR(1) state z scaled to
-    disturbance_scale times the current feasible half-width, clamped into
-    the feasible region.
+    disturbance_scale times the feasible half-width, clamped into the
+    feasible region. The run keeps the level and z in sim.scenario_state.
     """
 
     outdoor_temp: float = 4.0
@@ -257,9 +257,6 @@ class TrackingScenario:
     phi_steady: float | None = None
     ar_coefficient: float = 0.9
     disturbance_scale: float = 0.25
-    # run state: the steady level once known, and the AR(1) state
-    _steady: float | None = field(default=None, init=False, compare=False, repr=False)
-    _z: float = field(default=0.0, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.burn_in < 0:
@@ -269,23 +266,21 @@ class TrackingScenario:
 
     def prepare(self, horizon: int, dt_minutes: float,
                 rng: np.random.Generator) -> ScenarioInputs:
-        # start every run from the constructor's state, so runs do not leak into each other
-        self._steady = None
-        self._z = 0.0
         return _constant_inputs(horizon, self.outdoor_temp)
 
     def phi_target(self, sim, phi_now: float, region) -> float | None:
         if sim.k < self.burn_in:
             return None
-        if self._steady is None:
-            self._steady = phi_now if self.phi_steady is None else self.phi_steady
+        state = sim.scenario_state
+        steady = state.setdefault("steady", phi_now if self.phi_steady is None else self.phi_steady)
         lo, hi = region.phi_min, region.phi_max
         if lo > hi:
             raise ValueError(f"empty region [{lo}, {hi}]")
         c = self.ar_coefficient
-        self._z = c * self._z + math.sqrt(1.0 - c * c) * float(sim.rng_scenario.standard_normal())
+        z = state["z"] = (c * state.get("z", 0.0)
+                          + math.sqrt(1.0 - c * c) * float(sim.rng_scenario.standard_normal()))
         half_width = 0.5 * (hi - lo)
-        raw = self._steady + self.disturbance_scale * half_width * self._z
+        raw = steady + self.disturbance_scale * half_width * z
         return min(max(raw, lo), hi)
 
 

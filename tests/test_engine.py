@@ -1,5 +1,6 @@
 """Engine tests: population generation, interval protocol, determinism."""
 
+import dataclasses
 import inspect
 import math
 import tracemalloc
@@ -13,6 +14,7 @@ from heatfleet.aggregator import PowerDensityPair, build_pddf_from_arrays, capac
 from heatfleet.engine import (
     ParameterDist,
     PopulationSpec,
+    ScenarioSeries,
     SimulationClock,
     Simulation,
     generate_population,
@@ -287,6 +289,31 @@ class TestRunSimulation:
         assert np.array_equal(first.phi_target, second.phi_target)
         assert np.array_equal(second.phi_target, fresh.phi_target)
         assert np.array_equal(second.phi, fresh.phi)
+
+    @pytest.mark.parametrize("phi_steady", [None, 0.45])
+    def test_one_tracking_scenario_runs_interleaved_as_solo(self, phi_steady):
+        # two runs of one scenario object, the second built 30 intervals into the
+        # first and then stepped turn about, each record what it records alone
+        scenario = TrackingScenario(burn_in=10, phi_steady=phi_steady)
+        clock = SimulationClock(1.0, 60)
+
+        def simulation(seed):
+            return Simulation(generate_population(PopulationSpec(count=200, seed=seed)),
+                              scenario, clock, noise_seed=seed + 1, scenario_seed=seed + 2)
+
+        solo = [simulation(5).run(), simulation(6).run()]
+        first = simulation(5)
+        for _ in range(30):
+            first.run_interval()
+        second = simulation(6)
+        while second.k < clock.horizon:
+            if first.k < clock.horizon:
+                first.run_interval()
+            second.run_interval()
+        for alone, interleaved in zip(solo, (first.series(), second.series())):
+            for f in dataclasses.fields(ScenarioSeries):
+                assert np.array_equal(getattr(alone, f.name), getattr(interleaved, f.name)), \
+                    f.name
 
     def test_total_load_identity_every_interval(self):
         spec = PopulationSpec(count=100, seed=52)

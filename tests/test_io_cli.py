@@ -1,7 +1,9 @@
 """Config, series file and CLI tests, including manifest reproducibility."""
 
+import dataclasses
 import json
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -455,8 +457,9 @@ class TestCli:
 
 
 def test_one_config_runs_twice_to_the_same_bytes(tmp_path):
-    # the tracking scenario that runs is the config's own, so its run state
-    # must not leak from one run into the next, nor into config equality
+    # the tracking scenario that runs is the config's own, a frozen value: its
+    # run state lives on each run's Simulation, so nothing carries from one run
+    # into the next or into config equality
     raw = {"seed": 5, "clock": {"horizon": 60}, "population": {"count": 50},
            "tracking": {"burn_in": 10}}
     config = config_from_dict(raw)
@@ -469,6 +472,42 @@ def test_one_config_runs_twice_to_the_same_bytes(tmp_path):
 
 def test_default_runconfig_matches_resolved_empty():
     assert config_from_dict({}) == RunConfig()
+
+
+def test_runconfig_is_hashable():
+    assert hash(RunConfig()) == hash(config_from_dict({}))
+
+
+def test_every_config_section_is_a_frozen_value():
+    # walk the field types from RunConfig down: a section a run could write to
+    # would carry state from one run into the next
+    seen, pending = set(), [RunConfig]
+    while pending:
+        tp = pending.pop()
+        if dataclasses.is_dataclass(tp) and tp not in seen:
+            seen.add(tp)
+            assert tp.__dataclass_params__.frozen, tp.__name__
+            assert all(f.init for f in dataclasses.fields(tp)), tp.__name__
+            pending.extend(typing.get_type_hints(tp).values())
+        pending.extend(typing.get_args(tp))
+    assert {cls.__name__ for cls in seen} >= {
+        "RunConfig", "SimulationClock", "PopulationSpec", "ParameterDist",
+        "ThermostatConfig", "TrackingScenario", "WindScenario", "TurbineModel",
+        "NominalLoadModel", "SyntheticWeather"}
+
+
+@pytest.mark.parametrize("command", ["track", "gradient"])
+def test_unwritable_output_exits_1_naming_the_path(tmp_path, capsys, command):
+    afile = tmp_path / "afile"
+    afile.write_text("a regular file\n")
+    series = tmp_path / "series.csv"
+    series.write_text("k,P_L_kw\n0,1.0\n1,2.0\n")
+    args = ["track", "--horizon", "5"] if command == "track" else ["gradient", str(series)]
+    assert main([*args, "--out", str(afile / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(afile) in err
+    assert "Traceback" not in err
 
 
 def test_output_dir_environment_fallback(tmp_path, monkeypatch):

@@ -244,9 +244,11 @@ def test_wind_policy_reads_the_forecast_at_k_and_the_two_loads_before():
     assert scenario.phi_target(sim, 0.5, None) is None
 
 
-def tracking_target(scenario, draw, region, phi_now=0.5):
-    """One TrackingScenario.phi_target past the burn-in, with the normal draw fixed."""
-    sim = SimpleNamespace(k=scenario.burn_in, rng_scenario=FixedDraws(draw))
+def tracking_target(scenario, draw, region, phi_now=0.5, state=None):
+    """One TrackingScenario.phi_target past the burn-in, with the normal draw
+    fixed, in a fresh run unless state is a run's scenario_state."""
+    sim = SimpleNamespace(k=scenario.burn_in, rng_scenario=FixedDraws(draw),
+                          scenario_state={} if state is None else state)
     return scenario.phi_target(sim, phi_now, FeasibleRegion(0, 0, *region))
 
 
@@ -255,8 +257,9 @@ class TestTrackingTarget:
 
     def test_zero_disturbance_returns_clamped_steady(self):
         scenario = TrackingScenario(burn_in=0)
-        for _ in range(5):
-            assert tracking_target(scenario, 0.0, (0.3, 0.7), phi_now=0.5) == 0.5
+        state = {}  # one run: the steady level is the first phi_now, kept after
+        for phi_now in (0.5, 0.4, 0.6, 0.35, 0.65):
+            assert tracking_target(scenario, 0.0, (0.3, 0.7), phi_now, state) == 0.5
         scenario = TrackingScenario(burn_in=0, phi_steady=0.9)
         assert tracking_target(scenario, 0.0, (0.3, 0.7)) == 0.7
 
@@ -266,10 +269,12 @@ class TestTrackingTarget:
     def test_outputs_always_inside_region(self):
         rng = np.random.default_rng(79)
         scenario = TrackingScenario(burn_in=0, phi_steady=0.5)
+        state = {}  # one run: the AR(1) state carries from call to call
         for _ in range(10_000):
             lo = float(rng.uniform(0.0, 0.5))
             hi = lo + float(rng.uniform(0.0, 0.5))
-            out = tracking_target(scenario, float(rng.standard_normal()), (lo, hi))
+            out = tracking_target(scenario, float(rng.standard_normal()), (lo, hi),
+                                  state=state)
             assert lo <= out <= hi
 
     def test_invalid_region_rejected(self):
