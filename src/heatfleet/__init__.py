@@ -14,8 +14,7 @@ from .aggregator import (
     cff,
     feasible_region,
     select_setpoint,
-    verify_boundary_condition,
 )
 from .engine import PopulationSpec, SimulationClock, run_simulation
 from .scenarios import ScenarioInputs, TrackingScenario
-from .thermostat import hysteresis_update, measurement_temperature, quantize
+from .thermostat import hysteresis_update, quantize

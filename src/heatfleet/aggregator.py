@@ -41,7 +41,6 @@ __all__ = [
     "feasible_region",
     "max_cff_increment",
     "select_setpoint",
-    "verify_boundary_condition",
 ]
 
 
@@ -51,13 +50,13 @@ class PowerDensityPair:
 
     phi0/phi1 are densities per degC for the inactive/active states, indexed
     by m in [0, R]; phi * grid_step is the fraction of installed capacity in
-    that bin. installed_capacity is the sum of all rated powers (kW).
+    that bin. The pair holds fractions only: the fleet's capacity in kW is
+    kept by the Population and the run's Simulation and ScenarioSeries.
     """
 
     phi0: np.ndarray
     phi1: np.ndarray
     grid_step: float
-    installed_capacity: float
     # on-half cumulative capacity fractions, and the CFF over [3R/8, 5R/8]
     _cum1: np.ndarray = field(init=False, repr=False)
     _window: np.ndarray = field(init=False, repr=False)
@@ -72,22 +71,18 @@ class PowerDensityPair:
         densities = np.concatenate((phi0, phi1))
         if not (np.isfinite(densities).all() and (densities >= 0.0).all()):
             raise ValueError("densities must be finite and nonnegative")
-        if not (math.isfinite(self.installed_capacity) and self.installed_capacity > 0.0):
-            raise ValueError("installed_capacity must be finite and > 0")
         if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
             raise ValueError("grid_step must be finite and > 0")
         self._set_densities(densities)
 
     @classmethod
-    def _from_valid(cls, densities: np.ndarray, grid_step: float,
-                    installed_capacity: float) -> "PowerDensityPair":
+    def _from_valid(cls, densities: np.ndarray, grid_step: float) -> "PowerDensityPair":
         """Construct without re-validating. The caller guarantees every
         invariant __post_init__ checks: densities is the finite, nonnegative 1-d
-        float array [phi0 | phi1] of even length >= 4, and both scalars
-        are finite and > 0."""
+        float array [phi0 | phi1] of even length >= 4, and grid_step is finite
+        and > 0."""
         pair = object.__new__(cls)
         object.__setattr__(pair, "grid_step", grid_step)
-        object.__setattr__(pair, "installed_capacity", installed_capacity)
         pair._set_densities(densities)
         return pair
 
@@ -112,10 +107,6 @@ class PowerDensityPair:
     def resolution(self) -> int:
         """Grid resolution R (arrays have R+1 entries)."""
         return self.phi0.size - 1
-
-    def total_mass(self) -> float:
-        """sum (phi0 + phi1) * grid_step; 1.0 for any PDDF built from reports."""
-        return float(np.cumsum(self.phi0 * self.grid_step)[-1] + self._cum1[-1])
 
 
 class FeasibleRegion(NamedTuple):
@@ -172,7 +163,7 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
     # one histogram over [off bins | on bins]; each bin still sums in unit order
     w = np.bincount((n != 0) * bins + m, weights=p, minlength=2 * bins)
     w /= p_cap * cfg.grid_step
-    return PowerDensityPair._from_valid(w, cfg.grid_step, p_cap)
+    return PowerDensityPair._from_valid(w, cfg.grid_step)
 
 
 def capacity_factor(pddf: PowerDensityPair) -> float:
@@ -245,19 +236,3 @@ def max_cff_increment(pddf: PowerDensityPair, cfg: ThermostatConfig) -> float:
     # stepping m_s -> m_s+1 newly includes bin m_s+1-off of phi0 and bin m_s+off of phi1
     steps = pddf.phi0[lo + 1 - off: hi + 1 - off] * step + pddf.phi1[lo + off: hi + off] * step
     return float(steps.max()) if steps.size else 0.0
-
-
-def verify_boundary_condition(pddf_before: PowerDensityPair, m_s: int,
-                              pddf_after: PowerDensityPair,
-                              cfg: ThermostatConfig) -> float:
-    """Residual between the predicted and realized post-switch capacity factor.
-
-    pddf_after must come from the same population immediately after the
-    synchronized switch with set-point index m_s, before any thermal drift.
-    The residual is zero up to roundoff when the prediction is exact.
-    """
-    if pddf_before.resolution != pddf_after.resolution:
-        raise ValueError("PDDF resolutions differ")
-    if pddf_before.installed_capacity != pddf_after.installed_capacity:
-        raise ValueError("installed capacities differ; not the same population")
-    return abs(capacity_factor(pddf_after) - cff(pddf_before, m_s, cfg))

@@ -11,8 +11,8 @@ grid (deadband/2 in temperature) on either side of the broadcast set-point
 index m_s, and the set-point offset itself is limited to R/8 index units
 (deadband/4). R must be a multiple of 8 so both offsets are exact integers.
 
-quantize and hysteresis_update accept numpy arrays in place of scalar
-n/m/theta arguments; measurement_temperature takes one scalar index.
+quantize rounds a temperature to its nearest index, the inverse of theta(m);
+it and hysteresis_update accept numpy arrays in place of scalar arguments.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["ThermostatConfig", "quantize", "measurement_temperature", "hysteresis_update"]
+__all__ = ["ThermostatConfig", "quantize", "hysteresis_update"]
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,6 @@ class ThermostatConfig:
     def grid_step(self) -> float:
         """Temperature increment per index unit (degC): 2*deadband / R."""
         return 2.0 * self.deadband / self.resolution
-
-    @property
-    def measurement_range(self) -> float:
-        """Total measured span (degC), twice the deadband."""
-        return 2.0 * self.deadband
 
     @cached_property
     def switch_offset(self) -> int:
@@ -99,13 +94,6 @@ def quantize(theta_a, cfg: ThermostatConfig, out=None, work=None):
     m = np.empty(x.shape, np.int64) if out is None else out
     np.copyto(m, x, casting="unsafe")  # x.astype(np.int64), into m
     return int(m) if x.ndim == 0 else m
-
-
-def measurement_temperature(m: int, cfg: ThermostatConfig) -> float:
-    """Grid temperature of index m: theta_s + deadband*(2m/R - 1)."""
-    if not 0 <= m <= cfg.resolution:
-        raise ValueError(f"index {m} outside [0, {cfg.resolution}]")
-    return cfg.setpoint + cfg.deadband * (2.0 * m / cfg.resolution - 1.0)
 
 
 def hysteresis_update(n, m, m_s: int, cfg: ThermostatConfig):

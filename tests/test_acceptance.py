@@ -20,6 +20,7 @@ import pytest
 
 from heatfleet.aggregator import (
     build_pddf_from_arrays,
+    capacity_factor,
     cff,
     select_setpoint,
 )
@@ -27,11 +28,7 @@ from heatfleet.cli import main
 from heatfleet.engine import PopulationSpec, SimulationClock, run_simulation
 from heatfleet.scenarios import SaturationScenario, TrackingScenario, WindScenario
 from heatfleet.config import config_from_dict
-from heatfleet.thermostat import (
-    ThermostatConfig,
-    hysteresis_update,
-    measurement_temperature,
-)
+from heatfleet.thermostat import ThermostatConfig, hysteresis_update
 
 SETPOINT, DEADBAND = 20.0, 1.0
 
@@ -175,7 +172,8 @@ def test_criterion_3_optimizer_correctness():
                 best = (key, m_s)
         assert decision.ms_star == best[1]
         assert abs(decision.u) <= cfg.deadband / 4
-        assert measurement_temperature(decision.ms_star, cfg) == \
+        # the grid temperature theta(m*) of the chosen index is setpoint + u
+        assert cfg.setpoint + cfg.deadband * (2.0 * decision.ms_star / r - 1.0) == \
             cfg.setpoint + decision.u
     print("\nACCEPTANCE 3 PASS: sorted search == exhaustive scan on 1000 instances, "
           "|u| <= deadband/4 and the offset identity exact")
@@ -269,7 +267,8 @@ def test_criterion_7_density_invariants():
         state, m, power = random_population(rng, int(rng.integers(1, 500)), cfg)
         pddf = build_pddf_from_arrays(state, m, power, cfg)
         assert (pddf.phi0 >= 0).all() and (pddf.phi1 >= 0).all()
-        assert abs(pddf.total_mass() - 1.0) <= 1e-9
+        total_mass = np.cumsum(pddf.phi0 * pddf.grid_step)[-1] + capacity_factor(pddf)
+        assert abs(total_mass - 1.0) <= 1e-9
         sweep = np.array([cff(pddf, m_s, cfg)
                           for m_s in range(cfg.ms_min, cfg.ms_max + 1)])
         assert (np.diff(sweep) >= 0.0).all()

@@ -13,13 +13,8 @@ from heatfleet.aggregator import (
     feasible_region,
     max_cff_increment,
     select_setpoint,
-    verify_boundary_condition,
 )
-from heatfleet.thermostat import (
-    ThermostatConfig,
-    hysteresis_update,
-    measurement_temperature,
-)
+from heatfleet.thermostat import ThermostatConfig, hysteresis_update
 
 CFG8 = ThermostatConfig(setpoint=20.0, deadband=1.0, resolution=8)
 CFG1000 = ThermostatConfig(setpoint=20.0, deadband=1.0, resolution=1000)
@@ -38,6 +33,11 @@ def pddf_of(reports, cfg):
     return build_pddf_from_arrays(state, m, power, cfg)
 
 
+def total_mass(pddf):
+    """sum (phi0 + phi1) * grid_step; 1.0 for any PDDF built from reports."""
+    return np.cumsum(pddf.phi0 * pddf.grid_step)[-1] + capacity_factor(pddf)
+
+
 def realized_phi_after_switch(state, m, power, m_s, cfg):
     """Independent oracle: apply the deadband rule to every unit and sum."""
     n_new = hysteresis_update(state, m, m_s, cfg)
@@ -47,13 +47,11 @@ def realized_phi_after_switch(state, m, power, m_s, cfg):
 class TestBuildPddf:
     def test_single_unit(self):
         pddf = pddf_of([(1, 300, 4.0)], CFG1000)
-        assert pddf.installed_capacity == 4.0
         assert pddf.phi1[300] * pddf.grid_step == pytest.approx(1.0, abs=1e-12)
         assert pddf.phi0.sum() == 0.0
 
     def test_two_unit_weighted_histogram(self):
         pddf = pddf_of([(1, 300, 4.0), (0, 700, 6.0)], CFG1000)
-        assert pddf.installed_capacity == 10.0
         assert pddf.phi1[300] * pddf.grid_step == pytest.approx(0.4, abs=1e-12)
         assert pddf.phi0[700] * pddf.grid_step == pytest.approx(0.6, abs=1e-12)
 
@@ -117,7 +115,7 @@ class TestBuildPddf:
             state, m, power = random_reports(rng, n, CFG1000)
             pddf = build_pddf_from_arrays(state, m, power, CFG1000)
             assert (pddf.phi0 >= 0).all() and (pddf.phi1 >= 0).all()
-            assert abs(pddf.total_mass() - 1.0) <= 1e-9
+            assert abs(total_mass(pddf) - 1.0) <= 1e-9
 
 
 class TestCapacityFactor:
@@ -136,7 +134,7 @@ class TestCapacityFactor:
         pddf = pddf_of([(1, 300, 4.0), (0, 700, 6.0)], CFG1000)
         phi = capacity_factor(pddf)
         assert phi == pytest.approx(0.4, abs=1e-12)
-        assert phi * pddf.installed_capacity == pytest.approx(4.0, abs=1e-12)
+        assert phi * 10.0 == pytest.approx(4.0, abs=1e-12)
 
 
 class TestCff:
@@ -145,7 +143,7 @@ class TestCff:
         mass0 = np.array([0.1, 0.1, 0, 0, 0.2, 0, 0, 0, 0])
         mass1 = np.array([0, 0, 0.3, 0, 0, 0.3, 0, 0, 0])
         pddf = PowerDensityPair(phi0=mass0 / 0.25, phi1=mass1 / 0.25,
-                                grid_step=0.25, installed_capacity=10.0)
+                                grid_step=0.25)
         assert cff(pddf, 4, CFG8) == pytest.approx(0.8, abs=1e-12)
 
     def test_worked_example_against_unit_simulation(self):
@@ -205,7 +203,7 @@ class TestFeasibleRegion:
         r = CFG1000.resolution
         mass1 = np.full(r + 1, 1.0 / (r + 1))
         pddf = PowerDensityPair(phi0=np.zeros(r + 1), phi1=mass1 / CFG1000.grid_step,
-                                grid_step=CFG1000.grid_step, installed_capacity=100.0)
+                                grid_step=CFG1000.grid_step)
         region = feasible_region(pddf, CFG1000)
         assert region.phi_max - region.phi_min == pytest.approx(250 / (r + 1), abs=1e-12)
 
@@ -262,7 +260,7 @@ class TestSelectSetpoint:
         mass0 = np.array([0.1, 0.1, 0, 0, 0.2, 0, 0, 0, 0])
         mass1 = np.array([0, 0, 0.3, 0, 0, 0.3, 0, 0, 0])
         pddf = PowerDensityPair(phi0=mass0 / 0.25, phi1=mass1 / 0.25,
-                                grid_step=0.25, installed_capacity=10.0)
+                                grid_step=0.25)
         decision = select_setpoint(pddf, 0.75, CFG8)
         # cff is (0.5, 0.8, 0.8) over {3, 4, 5}: tie between 4 and 5 goes to R/2
         assert decision.ms_star == exhaustive_setpoint_oracle(pddf, 0.75, CFG8) == 4
@@ -278,8 +276,9 @@ class TestSelectSetpoint:
             decision = select_setpoint(pddf, target, cfg)
             assert decision.ms_star == exhaustive_setpoint_oracle(pddf, target, cfg)
             assert abs(decision.u) <= cfg.deadband / 4
-            assert measurement_temperature(decision.ms_star, cfg) == \
-                cfg.setpoint + decision.u
+            # the grid temperature theta(m*) of the chosen index is setpoint + u
+            assert cfg.setpoint + cfg.deadband * (2.0 * decision.ms_star / cfg.resolution
+                                                  - 1.0) == cfg.setpoint + decision.u
 
     def test_gaps_whose_squares_underflow(self):
         # window (0, 2e-170, 2e-170) over {3, 4, 5}: both gaps to the target
@@ -287,7 +286,7 @@ class TestSelectSetpoint:
         phi0, phi1 = np.zeros(9), np.zeros(9)
         phi0[8] = phi1[8] = 1.0
         phi1[5] = 8e-170
-        pddf = PowerDensityPair(phi0=phi0, phi1=phi1, grid_step=0.25, installed_capacity=1.0)
+        pddf = PowerDensityPair(phi0=phi0, phi1=phi1, grid_step=0.25)
         assert [cff(pddf, m_s, CFG8) for m_s in (3, 4, 5)] == [0.0, 2e-170, 2e-170]
         decision = select_setpoint(pddf, 5e-171, CFG8)
         assert decision.ms_star == exhaustive_setpoint_oracle(pddf, 5e-171, CFG8) == 3
@@ -307,7 +306,7 @@ class TestBoundaryCondition:
         m_s = int(rng.integers(CFG1000.ms_min, CFG1000.ms_max + 1))
         n_new = hysteresis_update(state, m, m_s, CFG1000)
         pddf_after = build_pddf_from_arrays(n_new, m, power, CFG1000)
-        assert verify_boundary_condition(pddf_before, m_s, pddf_after, CFG1000) <= 1e-12
+        assert abs(capacity_factor(pddf_after) - cff(pddf_before, m_s, CFG1000)) <= 1e-12
 
     def test_idempotent_zero_offset_with_frozen_temperatures(self):
         rng = np.random.default_rng(59)
@@ -316,7 +315,7 @@ class TestBoundaryCondition:
             pddf_before = build_pddf_from_arrays(state, m, power, CFG1000)
             state = hysteresis_update(state, m, 500, CFG1000)
             pddf_after = build_pddf_from_arrays(state, m, power, CFG1000)
-            assert verify_boundary_condition(pddf_before, 500, pddf_after, CFG1000) \
+            assert abs(capacity_factor(pddf_after) - cff(pddf_before, 500, CFG1000)) \
                 <= 1e-12
 
     def test_interior_unit_unaffected(self):
@@ -328,13 +327,8 @@ class TestBoundaryCondition:
         for m_s in range(CFG1000.ms_min + 126, CFG1000.ms_max - 125):
             n_new = hysteresis_update(state, m, m_s, CFG1000)
             after = build_pddf_from_arrays(n_new, m, power, CFG1000)
+            assert abs(capacity_factor(after) - cff(pddf, m_s, CFG1000)) <= 1e-12
             assert capacity_factor(after) == capacity_factor(pddf)
-
-    def test_mismatched_populations_rejected(self):
-        a = pddf_of([(1, 4, 4.0)], CFG8)
-        b = pddf_of([(1, 500, 5.0)], CFG1000)
-        with pytest.raises(ValueError):
-            verify_boundary_condition(a, 4, b, CFG8)
 
 
 def test_max_cff_increment_matches_sweep():
@@ -349,14 +343,9 @@ def test_max_cff_increment_matches_sweep():
 
 def test_density_invariants_enforced():
     with pytest.raises(ValueError):
-        PowerDensityPair(phi0=np.array([-0.1, 0.1]), phi1=np.zeros(2),
-                         grid_step=0.25, installed_capacity=1.0)
+        PowerDensityPair(phi0=np.array([-0.1, 0.1]), phi1=np.zeros(2), grid_step=0.25)
     with pytest.raises(ValueError):
-        PowerDensityPair(phi0=np.zeros(3), phi1=np.zeros(2),
-                         grid_step=0.25, installed_capacity=1.0)
-    with pytest.raises(ValueError):
-        PowerDensityPair(phi0=np.zeros(2), phi1=np.zeros(2),
-                         grid_step=0.25, installed_capacity=0.0)
+        PowerDensityPair(phi0=np.zeros(3), phi1=np.zeros(2), grid_step=0.25)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -366,16 +355,15 @@ def test_non_finite_densities_rejected(bad):
     phi1[3] = bad
     with pytest.raises(ValueError, match="densities must be finite"):
         PowerDensityPair(phi0=np.zeros(CFG8.resolution + 1), phi1=phi1,
-                         grid_step=CFG8.grid_step, installed_capacity=1.0)
+                         grid_step=CFG8.grid_step)
 
 
-@pytest.mark.parametrize("scalar", ["grid_step", "installed_capacity"])
+@pytest.mark.parametrize("scalar", ["grid_step"])
 def test_infinite_pair_scalars_rejected(scalar):
     # an infinite grid step turns every zero density's fraction into nan
-    scalars = {"grid_step": CFG8.grid_step, "installed_capacity": 1.0, scalar: np.inf}
     with pytest.raises(ValueError, match=f"{scalar} must be finite"):
         PowerDensityPair(phi0=np.zeros(CFG8.resolution + 1),
-                         phi1=np.full(CFG8.resolution + 1, 0.5), **scalars)
+                         phi1=np.full(CFG8.resolution + 1, 0.5), grid_step=np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +409,7 @@ def deadband_rule_phi(n, m, p, m_s, r):
 def test_cff_nondecreasing_and_mass_one(fleet):
     cfg, n, m, p = fleet
     pddf = build_pddf_from_arrays(n, m, p, cfg)
-    assert abs(pddf.total_mass() - 1.0) <= 1e-12
+    assert abs(total_mass(pddf) - 1.0) <= 1e-12
     values = [cff(pddf, m_s, cfg) for m_s in admissible(cfg.resolution)]
     assert all(a <= b for a, b in zip(values, values[1:]))
     region = feasible_region(pddf, cfg)

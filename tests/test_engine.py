@@ -352,8 +352,8 @@ def test_array_dataclasses_compare_by_identity():
     spec = degenerate_spec(count=4, process_noise_sd=0.01)
     clock = SimulationClock(1.0, 3)
     pairs = [
-        (PowerDensityPair(phi, phi, 0.25, 4.0),
-         PowerDensityPair(phi.copy(), phi.copy(), 0.25, 4.0)),
+        (PowerDensityPair(phi, phi, 0.25),
+         PowerDensityPair(phi.copy(), phi.copy(), 0.25)),
         (generate_population(spec), generate_population(spec)),
         (run_simulation(spec, TrackingScenario(), clock),
          run_simulation(spec, TrackingScenario(), clock)),
@@ -446,8 +446,7 @@ def test_whole_run_invariants(run):
 README_LIBRARY_NAMES = {
     "PopulationSpec", "TrackingScenario", "run_simulation", "SimulationClock",
     "build_pddf_from_arrays", "cff", "feasible_region", "select_setpoint",
-    "verify_boundary_condition", "quantize", "measurement_temperature",
-    "hysteresis_update", "ScenarioInputs",
+    "quantize", "hysteresis_update", "ScenarioInputs",
 }
 
 

@@ -6,12 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from heatfleet.thermostat import (
-    ThermostatConfig,
-    hysteresis_update,
-    measurement_temperature,
-    quantize,
-)
+from heatfleet.thermostat import ThermostatConfig, hysteresis_update, quantize
 
 CFG_PAPER = ThermostatConfig(setpoint=20.0, deadband=1.0, resolution=1000)
 CFG_SMALL = ThermostatConfig(setpoint=20.0, deadband=1.0, resolution=8)
@@ -58,25 +53,13 @@ class TestQuantize:
     def test_round_trip_within_half_step(self):
         thetas = np.linspace(19.0, 21.0, 20_011)
         m = quantize(thetas, CFG_PAPER)
-        back = np.array([measurement_temperature(int(i), CFG_PAPER) for i in m])
+        # theta(m) = setpoint + deadband * (2m/R - 1), the grid map quantize inverts
+        back = CFG_PAPER.setpoint + CFG_PAPER.deadband * (2.0 * m / CFG_PAPER.resolution - 1.0)
         assert np.max(np.abs(back - thetas)) <= CFG_PAPER.grid_step / 2 + 1e-12
 
     def test_array_input(self):
         m = quantize(np.array([19.0, 20.0, 21.0]), CFG_PAPER)
         assert m.tolist() == [0, 500, 1000]
-
-
-class TestMeasurementTemperature:
-    def test_grid_formula(self):
-        assert measurement_temperature(0, CFG_PAPER) == 19.0
-        assert measurement_temperature(1000, CFG_PAPER) == 21.0
-        assert measurement_temperature(500, CFG_PAPER) == 20.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            measurement_temperature(-1, CFG_PAPER)
-        with pytest.raises(ValueError):
-            measurement_temperature(1001, CFG_PAPER)
 
 
 class TestHysteresis:
@@ -152,7 +135,6 @@ def test_config_invariants():
         ThermostatConfig(deadband=5e-324)
     cfg = ThermostatConfig(setpoint=21.0, deadband=2.0, resolution=64)
     assert cfg.grid_step * cfg.resolution == pytest.approx(2 * cfg.deadband, abs=0)
-    assert cfg.measurement_range == 4.0
     assert (cfg.ms_min, cfg.ms_max, cfg.switch_offset) == (24, 40, 16)
     # the grid constants are computed once per config, never carried to a new one
     wider = dataclasses.replace(cfg, resolution=128)
