@@ -510,6 +510,22 @@ def test_unwritable_output_exits_1_naming_the_path(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["track", "wind"])
+def test_output_under_a_file_fails_before_the_run(tmp_path, capsys, monkeypatch, command):
+    from heatfleet.engine import Simulation
+
+    def no_interval(self):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(Simulation, "run_interval", no_interval)
+    afile = tmp_path / "afile"
+    afile.write_text("a regular file\n")
+    out = afile / "x" / "y"
+    assert main([command, "--horizon", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: output directory {out}: {afile} is not a directory\n"
+
+
 def test_output_dir_environment_fallback(tmp_path, monkeypatch):
     from heatfleet.config import resolve_output_dir
 
