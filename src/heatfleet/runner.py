@@ -71,8 +71,11 @@ def write_wind_outputs(config: RunConfig, out_dir: Path | None = None) -> Path:
     nominal-load realization."""
     out = resolve_output_dir(config, out_dir)
     wind = config.wind
+    # the fleet starts in equilibrium with the weather the run reads at t = 0
+    outdoor = (wind.synthetic.temp_mean if wind.series_file is None
+               else float(seriesio.ingest_series(wind.series_file, config.clock)[1][0]))
     spec = replace(config.population, thermostat=config.thermostat, seed=config.seed,
-                   initial_outdoor_temp=wind.synthetic.temp_mean)
+                   initial_outdoor_temp=outdoor)
     with _diagnostic_sink(config, out, "wind_controlled") as sink:
         arms = {"controlled": run_simulation(spec, replace(wind, controlled=True), config.clock,
                                              diagnostic_sink=sink),

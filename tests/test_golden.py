@@ -8,7 +8,9 @@ before the kernel rewrite, and the per-interval PDDF dumps of a small
 tracking run with a digest taken before the dump writer was rewritten.
 The manifest of a config that sets every key, and the series that
 ``gen-wind`` writes for it, are pinned by digests taken before the config
-layer was rewritten. The fleet that ``generate_population`` draws on both
+layer was rewritten; the wind pair that runs from that series file, by
+digests retaken when a file-driven fleet began to start at the file's first
+outdoor temperature instead of the unused synthetic mean. The fleet that ``generate_population`` draws on both
 reachable duty-cycle branches, and every column of a saturation run, are
 pinned by digests taken before the scalar per-unit API was removed.
 """
@@ -79,8 +81,8 @@ FULL_WIND = {
 EXOGENOUS_DIGEST = "a5982fa3ed276b94260f73c4cf403a500933f525b3cf4eabe5197677d255d15e"
 FULL_WIND_DIGESTS = {
     "manifest.json": "1c4b9ed12faa44864f75e1ed1b9b9aaa173686c3a866914eb06bbe63e3bb124b",
-    "wind_controlled_series.csv": "9d85fe4470db25c56529edc767c4245cd9b730c0b48c758062b3f400af9d9608",
-    "wind_uncontrolled_series.csv": "7bc9b55d2445bec3494fcdc03b3df64b51a670cd2bad0d6651631541d353dc96",
+    "wind_controlled_series.csv": "71af13455c299fa8560550169b56e03e3e33d45b1915ccfb4a4c66adfe9a9623",
+    "wind_uncontrolled_series.csv": "49f86d582b39441b3995a7d5e2f4ef48b24a5115bdff2ca7e3714bf964159ec4",
 }
 # FULL_WIND run as a tracking scenario
 FULL_TRACKING_SERIES_DIGEST = "496ad269666b54685cbc3571795ea699656c456f02f0c17938bbfe0b51de5824"

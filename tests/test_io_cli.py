@@ -381,6 +381,25 @@ class TestCli:
         out = tmp_path / "fromfile"
         assert main(["wind", "--config", str(config2), "--out", str(out)]) == 0
 
+    def test_file_driven_wind_ignores_the_synthetic_temp_mean(self, tmp_path):
+        # the fleet starts at the file's first outdoor temperature; the synthetic
+        # generator, which such a run never calls, has no say in it
+        data = {"scenario": "wind", "seed": 8, "clock": {"horizon": 20},
+                "population": {"count": 30}, "thermostat": {"resolution": 64},
+                "wind": {"burn_in": 5}}
+        assert main(["gen-wind", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(tmp_path / "gen")]) == 0
+        written = []
+        for temp_mean in (0.0, 12.0):
+            data["wind"] = {"burn_in": 5, "synthetic": {"temp_mean_c": temp_mean},
+                            "series_file": str(tmp_path / "gen" / "exogenous_series.csv")}
+            out = tmp_path / f"mean{temp_mean}"
+            assert main(["wind", "--config", str(write_config(tmp_path, data)),
+                         "--out", str(out)]) == 0
+            written.append([(out / f"wind_{arm}_series.csv").read_bytes()
+                            for arm in ("controlled", "uncontrolled")])
+        assert written[0] == written[1]
+
     def test_default_gen_wind_covers_the_default_wind_run(self, tmp_path):
         # gen-wind resolves the wind scenario's horizon, as `wind` does
         assert main(["gen-wind", "--out", str(tmp_path)]) == 0
