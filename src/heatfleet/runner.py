@@ -71,7 +71,7 @@ def write_wind_outputs(config: RunConfig, out_dir: Path | None = None) -> Path:
     nominal-load realization."""
     out = resolve_output_dir(config, out_dir)
     wind = config.wind
-    # the fleet starts in equilibrium with the weather the run reads at t = 0
+    # the initial duty cycles see the outdoor temperature the run reads at t = 0
     outdoor = (wind.synthetic.temp_mean if wind.series_file is None
                else float(seriesio.ingest_series(wind.series_file, config.clock)[1][0]))
     spec = replace(config.population, thermostat=config.thermostat, seed=config.seed,
