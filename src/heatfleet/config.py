@@ -266,10 +266,11 @@ def load_config(path) -> RunConfig:
 def resolve_output_dir(config: RunConfig, out_dir=None) -> Path:
     """out_dir (--out), else the config's output_dir, else $HEATFLEET_OUT,
     else ./heatfleet_out; NotADirectoryError, before any run, if a file is in the way."""
-    out = Path(config.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "heatfleet_out")
-    if out_dir is not None:
-        out = Path(out_dir)
-    existing = next(p for p in (out, *out.parents) if p.exists())
-    if not existing.is_dir():
-        raise NotADirectoryError(f"output directory {out}: {existing} is not a directory")
+    if out_dir is None:
+        out_dir = config.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "heatfleet_out"
+    out = Path(out_dir)
+    if not os.path.isdir(out):  # one stat when it exists; walk up only when it does not
+        existing = next(p for p in (out, *out.parents) if p.exists())
+        if not existing.is_dir():
+            raise NotADirectoryError(f"output directory {out}: {existing} is not a directory")
     return out

@@ -134,7 +134,6 @@ class TestCapacityFactor:
         pddf = pddf_of([(1, 300, 4.0), (0, 700, 6.0)], CFG1000)
         phi = capacity_factor(pddf)
         assert phi == pytest.approx(0.4, abs=1e-12)
-        assert phi * 10.0 == pytest.approx(4.0, abs=1e-12)
 
 
 class TestCff:
