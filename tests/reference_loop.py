@@ -37,8 +37,9 @@ def run_reference(spec, scenario, clock) -> dict:
         "nominal_kw", "wind_kw", "heatpump_kw", "total_kw", "phi", "phi_target", "u", "phi_min",
         "phi_max", "mean_theta", "phi_predicted", "quantization_floor", "controlled",
         "min_theta", "max_theta", "switch_count", "rapid_cycle_count", "ms_star")}
+    # the scenario reads the columns of the intervals before k
     sim = SimpleNamespace(inputs=inputs, installed_capacity=capacity, rng_scenario=rng_scenario,
-                          scenario_state={}, columns={"total_kw": np.zeros(clock.horizon)})
+                          scenario_state={}, columns=cols)
     prev_switched = np.zeros(len(pop), dtype=bool)
     for k in range(clock.horizon):
         noise = rng_noise.normal(0.0, sd, len(pop)) if sd > 0.0 else 0.0
@@ -62,7 +63,6 @@ def run_reference(spec, scenario, clock) -> dict:
         phi = float(pop.rated_power[n_new == 1].sum() / capacity)  # (7)
         heatpump = capacity * phi
         total = float(inputs.nominal_kw[k]) + heatpump - float(inputs.wind_kw[k])
-        sim.columns["total_kw"][k] = total
         row = dict(
             nominal_kw=inputs.nominal_kw[k], wind_kw=inputs.wind_kw[k], heatpump_kw=heatpump,
             total_kw=total, phi=phi, phi_target=target, u=cfg.deadband * (2.0 * ms_star / r - 1.0),
