@@ -31,7 +31,7 @@ def run_reference(spec, scenario, clock) -> dict:
     decay = np.exp(-(clock.dt_minutes / 60.0) / (pop.capacitance * pop.resistance))
     lift = pop.cop * pop.rated_power * pop.resistance
     capacity = float(pop.rated_power.sum())
-    theta, n, sd = pop.indoor_temp.copy(), pop.machine_state.copy(), spec.process_noise_sd
+    theta, n, sd = pop.indoor_temp, pop.machine_state, spec.process_noise_sd
     inputs = scenario.prepare(clock.horizon, clock.dt_minutes, rng_scenario)
     cols = {name: [] for name in (
         "nominal_kw", "wind_kw", "heatpump_kw", "total_kw", "phi", "phi_target", "u", "phi_min",
