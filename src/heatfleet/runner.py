@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,44 +10,22 @@ import numpy as np
 from . import __version__, seriesio
 from .config import RunConfig, resolve_output_dir
 from .engine import _streams, run_simulation
-from .errors import EngineError
 from .scenarios import generate_weather, power_gradient_density
 
 __all__ = ["write_tracking_outputs", "write_wind_outputs", "generate_wind_file"]
 
 
-@contextmanager
 def _diagnostic_sink(config: RunConfig, out_dir: Path, label: str):
-    """Yield the engine's dump sink, None without diagnostics. One thread writes
-    the dumps, at most 8 (26 KB each at R = 1000) behind. All writes end before
-    the block exits; the first that failed raises EngineError naming its interval."""
+    """The engine's dump sink, None without diagnostics. Each interval's dump is
+    on disk before the interval ends; a failed write raises OSError inside it."""
     if not config.diagnostics:
-        yield None
-        return
-    # imported here: it loads logging, about 0.6 MiB that runs without dumps never use
-    from concurrent.futures import ThreadPoolExecutor
-
+        return None
     dump_dir = out_dir / "diagnostics" / label
-    pending = deque()
-
-    def settle(limit):
-        while len(pending) > limit:
-            k, write = pending.popleft()
-            if (error := write.exception()) is not None:
-                pending.clear()
-                raise EngineError(f"interval {k}: {error}") from error
 
     def sink(k, pddf, decision):
-        path = dump_dir / f"pddf_k{k:06d}.csv"
-        pending.append((k, seriesio.write_pddf_dump(path, k, pddf, decision, writer)))
-        settle(8)
+        seriesio.write_pddf_dump(dump_dir / f"pddf_k{k:06d}.npy", k, pddf, decision)
 
-    writer = ThreadPoolExecutor(max_workers=1)
-    try:
-        yield sink
-    finally:
-        writer.shutdown(wait=True)
-        settle(0)
+    return sink
 
 
 def write_tracking_outputs(config: RunConfig, out_dir: Path | None = None) -> Path:
@@ -57,8 +33,8 @@ def write_tracking_outputs(config: RunConfig, out_dir: Path | None = None) -> Pa
     out = resolve_output_dir(config, out_dir)
     spec = replace(config.population, thermostat=config.thermostat, seed=config.seed,
                    initial_outdoor_temp=config.tracking.outdoor_temp)
-    with _diagnostic_sink(config, out, "tracking") as sink:
-        series = run_simulation(spec, config.tracking, config.clock, diagnostic_sink=sink)
+    series = run_simulation(spec, config.tracking, config.clock,
+                            diagnostic_sink=_diagnostic_sink(config, out, "tracking"))
     seriesio.write_series(out / "tracking_series.csv", series)
     seriesio.write_manifest(out / "manifest.json", config, __version__)
     seriesio.write_summary(out / "summary.json", series.summary())
@@ -76,10 +52,10 @@ def write_wind_outputs(config: RunConfig, out_dir: Path | None = None) -> Path:
                else float(seriesio.ingest_series(wind.series_file, config.clock)[1][0]))
     spec = replace(config.population, thermostat=config.thermostat, seed=config.seed,
                    initial_outdoor_temp=outdoor)
-    with _diagnostic_sink(config, out, "wind_controlled") as sink:
-        arms = {"controlled": run_simulation(spec, replace(wind, controlled=True), config.clock,
-                                             diagnostic_sink=sink),
-                "uncontrolled": run_simulation(spec, replace(wind, controlled=False), config.clock)}
+    sink = _diagnostic_sink(config, out, "wind_controlled")
+    arms = {"controlled": run_simulation(spec, replace(wind, controlled=True), config.clock,
+                                         diagnostic_sink=sink),
+            "uncontrolled": run_simulation(spec, replace(wind, controlled=False), config.clock)}
     for label, series in arms.items():
         seriesio.write_series(out / f"wind_{label}_series.csv", series)
         if len(series) >= 2:

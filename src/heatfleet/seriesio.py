@@ -7,19 +7,22 @@ grid; the file must cover the horizon plus one interval of foreknowledge.
 Every file read here fails on a non-numeric or non-finite field, naming its
 line.
 
-All numeric output is written with repr(), so values round-trip exactly and
-identical runs produce byte-identical files.
+Numeric text output is written with repr(), and the PDDF dumps as binary
+.npy records, so values round-trip exactly and identical runs produce
+byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
 import functools
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 
+from .aggregator import ControlDecision
 from .engine import ScenarioSeries, SimulationClock
 from .errors import SeriesError
 
@@ -40,10 +43,6 @@ SERIES_HEADER = [
     "k", "P_N_kw", "P_W_kw", "P_H_kw", "P_L_kw", "phi", "phi_target",
     "u_degC", "phi_min", "phi_max", "mean_theta_degC",
 ]
-
-
-def _fmt(x) -> str:
-    return repr(float(x))
 
 
 def _read_csv(path, header=None) -> tuple[list[str], np.ndarray]:
@@ -161,43 +160,24 @@ def write_histogram(path, bin_centers, heights) -> None:
                [_floats(bin_centers), _floats(heights)])
 
 
-def _density_column(phi: np.ndarray) -> list[str]:
-    """repr() of every density. Exact +0.0 is the common case and is not
-    formatted; -0.0 (signbit set) and nan still go through repr()."""
-    text = ["0.0"] * phi.size
-    formatted = np.flatnonzero((phi != 0.0) | np.signbit(phi)).tolist()
-    for i, s in zip(formatted, map(repr, phi[formatted].tolist())):
-        text[i] = s
-    return text
-
-
 @functools.lru_cache(maxsize=8)
-def _grid_labels(size: int) -> tuple[str, ...]:
-    return tuple(map(str, range(size)))
+def _dump_dtype(size: int) -> np.dtype:
+    """The PDDF dump record on a grid of `size` points: k, the ControlDecision
+    fields in their order (int64 for the indices), then phi0 and phi1."""
+    return np.dtype([("k", np.int64),
+                     *((name, np.int64 if name.startswith("ms_") else np.float64)
+                       for name in ControlDecision._fields),
+                     ("phi0", np.float64, (size,)), ("phi1", np.float64, (size,))])
 
 
-def write_pddf_dump(path, k: int, pddf, decision, writer=None):
-    """Per-interval diagnostic dump of the densities and the decision.
-
-    One ``#`` header line ending in ``\n``, then the ``m,phi0,phi1`` header
-    and one row per grid index, each ending in ``\r\n``. It is built here;
-    without a writer it is written before this returns, else handed to the
-    writer (a run's one background thread) and the write's Future returned.
-    The runner returns or raises only after every dump of its run is on disk.
-    """
-    head = (f"# k={k} ms_min={decision.ms_min} ms_max={decision.ms_max} "
-            f"phi_min={_fmt(decision.phi_min)} phi_max={_fmt(decision.phi_max)} "
-            f"ms_star={decision.ms_star} u={_fmt(decision.u)} "
-            f"phi_target={_fmt(decision.phi_target)} "
-            f"phi_predicted={_fmt(decision.phi_predicted)}\n"
-            "m,phi0,phi1\r\n")
-    phi0 = _density_column(pddf.phi0)
-    phi1 = _density_column(pddf.phi1)
-    rows = "\r\n".join(map(",".join, zip(_grid_labels(len(phi0)), phi0, phi1)))
-    data = f"{head}{rows}\r\n".encode()
-    if writer is None:
-        return _write_bytes(Path(path), data)
-    return writer.submit(_write_bytes, Path(path), data)
+def write_pddf_dump(path, k: int, pddf, decision) -> None:
+    """Per-interval diagnostic dump of the densities and the decision: one 0-d
+    structured record in .npy format, every value stored bit for bit, written
+    before this returns. Read it back with ``np.load(path)["phi0"]`` and so on."""
+    record = np.array((k, *decision, pddf.phi0, pddf.phi1), _dump_dtype(pddf.phi0.size))
+    buffer = io.BytesIO()
+    np.save(buffer, record)
+    _write_bytes(Path(path), buffer.getvalue())
 
 
 def write_manifest(path, config, version: str) -> None:

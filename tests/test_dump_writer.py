@@ -65,10 +65,10 @@ def recorded_dumps(monkeypatch):
     dumps = []
     write = seriesio.write_pddf_dump
 
-    def recording(path, k, pddf, decision, *args):
+    def recording(path, k, pddf, decision):
         densities = SimpleNamespace(phi0=pddf.phi0.copy(), phi1=pddf.phi1.copy())
         dumps.append((Path(path), k, densities, decision))
-        return write(path, k, pddf, decision, *args)
+        write(path, k, pddf, decision)
 
     monkeypatch.setattr(seriesio, "write_pddf_dump", recording)
     return dumps
@@ -84,10 +84,10 @@ def blocked_dump_dir(tmp_path):
 
 @pytest.mark.parametrize("horizon", [4, 12])
 def test_unwritable_dump_raises_engine_error_naming_interval_0(tmp_path, horizon):
-    # at horizon 12 the failure is seen while the run goes on, at 4 once it ends
+    # the first dump fails, so the run stops at interval 0 however long it is
     config = config_from_dict(dict(TRACK_DIAG, clock={"horizon": horizon}))
     before = threading.enumerate()
-    with pytest.raises(EngineError, match=r"^interval 0: .*pddf_k000000\.csv") as err:
+    with pytest.raises(EngineError, match=r"^interval 0: .*pddf_k000000\.npy") as err:
         write_tracking_outputs(config, blocked_dump_dir(tmp_path))
     assert isinstance(err.value.__cause__, OSError)
     assert threading.enumerate() == before
@@ -107,7 +107,7 @@ def test_every_dump_is_on_disk_when_the_runner_returns(tmp_path, slow_writes,
     out = write_tracking_outputs(config_from_dict(TRACK_DIAG), tmp_path / "out")
     assert threading.enumerate() == before
     assert sorted(p.name for p in (out / "diagnostics" / "tracking").iterdir()) == [
-        f"pddf_k{k:06d}.csv" for k in range(12)]
+        f"pddf_k{k:06d}.npy" for k in range(12)]
     assert [k for _, k, _, _ in recorded_dumps] == list(range(12))
 
 
@@ -118,7 +118,7 @@ def test_dumps_before_a_failed_interval_are_on_disk_when_it_raises(
     with pytest.raises(EngineError, match="^interval 3: scenario blew up"):
         write_tracking_outputs(config, tmp_path / "out")
     assert threading.enumerate() == before
-    monkeypatch.undo()  # the oracle writes synchronously, at full speed
+    monkeypatch.undo()  # the expected dumps are written at full speed
     assert [k for _, k, _, _ in recorded_dumps] == [0, 1, 2]
     for path, k, densities, decision in recorded_dumps:
         expected = tmp_path / "expected" / path.name

@@ -5,7 +5,8 @@ operation is reordered or replaced: every output byte must stay the same.
 The tracking bundle is compared with the committed ``heatfleet_out/``; a
 small wind pair is compared by sha256 with digests of the same run taken
 before the kernel rewrite, and the per-interval PDDF dumps of a small
-tracking run with a digest taken before the dump writer was rewritten.
+tracking run with a digest taken over their CSV text form, rebuilt from the
+run's .npy records.
 The manifest of a config that sets every key, and the series that
 ``gen-wind`` writes for it, are pinned by digests taken before the config
 layer was rewritten; the wind pair that runs from that series file, by
@@ -26,6 +27,7 @@ from heatfleet import runner
 from heatfleet.config import config_from_dict
 from heatfleet.engine import PopulationSpec, SimulationClock, generate_population, run_simulation
 from heatfleet.scenarios import SaturationScenario
+from dump_oracle import pddf_dump_oracle, read_dump
 
 GOLDEN_TRACK = Path(__file__).resolve().parents[1] / "heatfleet_out"
 
@@ -42,7 +44,7 @@ WIND_DIGESTS = {
 }
 
 # N = 200, horizon 40, burn-in 10, R = 1000, diagnostics on, seed 12345: sha256
-# over each dump's name, length and bytes, in k order
+# over each dump's CSV text form (name pddf_k<k>.csv, length and bytes), in k order
 DUMP_COUNT = 40
 DUMP_DIGEST = "998c6d9318fa0e3deb33f5f2f115dc9b00473a0b68194d20507b7d9b291adf05"
 
@@ -169,13 +171,16 @@ def test_pddf_dumps_match_golden_digest(tmp_path):
     config = config_from_dict({"scenario": "tracking", "seed": 12345,
                                "population": {"count": 200}, "clock": {"horizon": 40},
                                "tracking": {"burn_in": 10}, "diagnostics": True})
-    runner.write_tracking_outputs(config, tmp_path)
-    dumps = sorted((tmp_path / "diagnostics" / "tracking").iterdir())
-    assert [p.name for p in dumps] == [f"pddf_k{k:06d}.csv" for k in range(DUMP_COUNT)]
+    runner.write_tracking_outputs(config, tmp_path / "run")
+    records = sorted((tmp_path / "run" / "diagnostics" / "tracking").iterdir())
+    assert [p.name for p in records] == [f"pddf_k{k:06d}.npy" for k in range(DUMP_COUNT)]
     h = hashlib.sha256()
-    for path in dumps:
-        data = path.read_bytes()
-        h.update(f"{path.name}\0{len(data)}\0".encode())
+    for record in records:
+        k, decision, densities = read_dump(record)
+        text = tmp_path / "text" / f"pddf_k{k:06d}.csv"
+        pddf_dump_oracle(text, k, densities, decision)
+        data = text.read_bytes()
+        h.update(f"{text.name}\0{len(data)}\0".encode())
         h.update(data)
     assert h.hexdigest() == DUMP_DIGEST
 

@@ -584,13 +584,11 @@ def test_diagnostic_dumps_written(tmp_path):
     })
     out = tmp_path / "diag"
     assert main(["track", "--config", str(config), "--out", str(out)]) == 0
-    dumps = sorted((out / "diagnostics" / "tracking").glob("pddf_k*.csv"))
-    assert len(dumps) == 4
-    text = dumps[0].read_text().splitlines()
-    assert text[0].startswith("# k=0 ms_min=6 ms_max=10")
-    assert text[1] == "m,phi0,phi1"
-    assert len(text) == 2 + 17  # header lines plus one row per grid point
-    m, phi0, phi1 = np.loadtxt(dumps[0], delimiter=",", skiprows=2).T
+    dumps = sorted((out / "diagnostics" / "tracking").glob("pddf_k*.npy"))
+    assert [p.name for p in dumps] == [f"pddf_k{k:06d}.npy" for k in range(4)]
+    record = np.load(dumps[0])
+    assert record["k"] == 0 and record["ms_min"] == 6 and record["ms_max"] == 10
+    assert record["phi0"].shape == record["phi1"].shape == (17,)  # one per grid point
     cfg = load_config(config)
     step = 2 * cfg.thermostat.deadband / cfg.thermostat.resolution
-    assert ((phi0 + phi1) * step).sum() == pytest.approx(1.0, abs=1e-9)
+    assert ((record["phi0"] + record["phi1"]) * step).sum() == pytest.approx(1.0, abs=1e-9)

@@ -2,7 +2,7 @@
 
 Each oracle below is the straightforward form of a kernel: per-interval
 constants recomputed, boolean-mask copies, nested selects, a csv.writer row
-per grid point or interval. The kernels in ``src/`` must produce the same bits for every
+per interval. The kernels in ``src/`` must produce the same bits for every
 input, so the golden bundles cannot move when a kernel is rewritten for speed.
 The duty cycle is compared with its scalar closed form to a relative 1e-12,
 because the oracle takes ``math.log`` where the kernel takes ``np.log``.
@@ -34,6 +34,7 @@ from heatfleet.seriesio import (
     write_series,
 )
 from heatfleet.thermostat import ThermostatConfig, hysteresis_update, quantize
+from dump_oracle import DensityPair, read_dump
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -93,22 +94,6 @@ def max_cff_increment_oracle(pddf, cfg):
 
 def _fmt(x):
     return repr(float(x))
-
-
-def pddf_dump_oracle(path, k, pddf, decision):
-    """The csv.writer form of the per-interval PDDF dump."""
-    p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with p.open("w", newline="") as fh:
-        fh.write(f"# k={k} ms_min={decision.ms_min} ms_max={decision.ms_max} "
-                 f"phi_min={_fmt(decision.phi_min)} phi_max={_fmt(decision.phi_max)} "
-                 f"ms_star={decision.ms_star} u={_fmt(decision.u)} "
-                 f"phi_target={_fmt(decision.phi_target)} "
-                 f"phi_predicted={_fmt(decision.phi_predicted)}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["m", "phi0", "phi1"])
-        for m in range(pddf.resolution + 1):
-            writer.writerow([m, _fmt(pddf.phi0[m]), _fmt(pddf.phi1[m])])
 
 
 def csv_oracle(path, header, rows):
@@ -335,16 +320,8 @@ def test_thermal_step_into_out_matches_allocating_call(data):
     assert got is theta and same_bits(theta, expected)
 
 
-class DensityPair:
-    """Only what the dump writer reads of a PowerDensityPair, without its
-    validation, so that any float can be written."""
-
-    def __init__(self, phi0, phi1):
-        self.phi0, self.phi1 = phi0, phi1
-        self.resolution = phi0.size - 1
-
-
-# +0.0 dominates real densities; the sampled values are the edge cases of repr()
+# +0.0 dominates real densities; the sampled values are the edge cases of float64
+# (signed zero, nan, infinities, subnormals) and of repr()
 densities = st.one_of(
     st.just(0.0),
     st.sampled_from([-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -360,9 +337,15 @@ def dump_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("dumps")
 
 
+# the dump record's scalar fields, k and the ControlDecision's, with their dtypes
+DUMP_FIELDS = {"k": np.int64, "ms_min": np.int64, "ms_max": np.int64,
+               "phi_min": np.float64, "phi_max": np.float64, "ms_star": np.int64,
+               "u": np.float64, "phi_target": np.float64, "phi_predicted": np.float64}
+
+
 @SETTINGS
 @given(data=st.data())
-def test_pddf_dump_matches_csv_writer_oracle(dump_dir, data):
+def test_pddf_dump_round_trips_every_bit(dump_dir, data):
     size = data.draw(resolutions) + 1
     phi0, phi1 = (data.draw(hnp.arrays(np.float64, size, elements=densities,
                                        fill=st.just(0.0))) for _ in range(2))
@@ -372,21 +355,23 @@ def test_pddf_dump_matches_csv_writer_oracle(dump_dir, data):
         ms_star=data.draw(st.integers(0, 10**6)), u=data.draw(reals),
         phi_target=data.draw(reals), phi_predicted=data.draw(reals))
     k = data.draw(st.integers(0, 10**7))
-    pair = DensityPair(phi0, phi1)
-    write_pddf_dump(dump_dir / "got.csv", k, pair, decision)
-    pddf_dump_oracle(dump_dir / "expected.csv", k, pair, decision)
-    assert (dump_dir / "got.csv").read_bytes() == (dump_dir / "expected.csv").read_bytes()
+    write_pddf_dump(dump_dir / "dump.npy", k, DensityPair(phi0, phi1), decision)
+    record = np.load(dump_dir / "dump.npy")
+    assert record.shape == ()
+    assert record.dtype.names == ("k", *ControlDecision._fields, "phi0", "phi1")
+    for (name, dtype), value in zip(DUMP_FIELDS.items(), (k, *decision)):
+        assert same_bits(record[name], np.asarray(value, dtype)), name
+    assert same_bits(record["phi0"], phi0) and same_bits(record["phi1"], phi1)
 
 
 def test_pddf_dump_creates_its_directory(tmp_path):
     pair = DensityPair(np.array([0.0, -0.0, 4.0]), np.array([np.nan, 0.0, 1e-310]))
     decision = ControlDecision(1, 2, 0.25, 0.75, 1, -0.0, 0.5, 0.5)
-    write_pddf_dump(tmp_path / "a" / "b" / "dump.csv", 3, pair, decision)
-    pddf_dump_oracle(tmp_path / "expected.csv", 3, pair, decision)
-    got = (tmp_path / "a" / "b" / "dump.csv").read_bytes()
-    assert got == (tmp_path / "expected.csv").read_bytes()
-    assert got.split(b"\n", 1)[1] == (b"m,phi0,phi1\r\n0,0.0,nan\r\n"
-                                      b"1,-0.0,0.0\r\n2,4.0,1e-310\r\n")
+    path = tmp_path / "a" / "b" / "dump.npy"
+    write_pddf_dump(path, 3, pair, decision)
+    k, got, densities = read_dump(path)
+    assert (k, got) == (3, decision) and math.copysign(1.0, got.u) == -1.0
+    assert same_bits(densities.phi0, pair.phi0) and same_bits(densities.phi1, pair.phi1)
 
 
 SERIES_COLUMNS = ("nominal_kw", "wind_kw", "heatpump_kw", "total_kw", "phi", "phi_target",
