@@ -4,7 +4,7 @@ A config file is a JSON object and every key is optional: a file
 containing just {"scenario": "tracking"} runs the default signal-tracking
 setup, and a null value stands for the key's default where it has one.
 The manifest emitted with each run wraps the fully resolved config under a
-"config" key plus a "meta" block; load_config accepts either form, so a
+"config" key plus a "meta" block; load_raw accepts either form, so a
 manifest can be re-run directly.
 
 RunConfig is the root section. Every other section decodes straight into
@@ -44,7 +44,6 @@ from .thermostat import ThermostatConfig
 
 __all__ = [
     "RunConfig",
-    "load_config",
     "config_from_dict",
     "resolve_output_dir",
 ]
@@ -256,11 +255,6 @@ def load_raw(path) -> dict:
     if not isinstance(data, dict):
         raise ConfigError(f"{p}: config root must be a JSON object")
     return data
-
-
-def load_config(path) -> RunConfig:
-    """Read a config file (or an emitted manifest) and resolve it fully."""
-    return config_from_dict(load_raw(path))
 
 
 def resolve_output_dir(config: RunConfig, out_dir=None) -> Path:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from heatfleet.cli import main
-from heatfleet.config import RunConfig, config_from_dict, load_config
+from heatfleet.config import RunConfig, config_from_dict, load_raw
 from heatfleet.engine import SimulationClock
 from heatfleet.errors import ConfigError, SeriesError
 from heatfleet.scenarios import SyntheticWeather, generate_weather, turbine_power
@@ -39,7 +39,7 @@ def write_config(tmp_path, data, name="config.json"):
 
 class TestLoadConfig:
     def test_minimal_tracking_gets_defaults(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, {"scenario": "tracking"}))
+        cfg = config_from_dict(load_raw(write_config(tmp_path, {"scenario": "tracking"})))
         assert cfg.scenario == "tracking"
         assert cfg.thermostat.resolution == 1000
         assert cfg.population.count == 1000
@@ -48,18 +48,18 @@ class TestLoadConfig:
         assert cfg.population.capacitance.kind == "lognormal"
 
     def test_wind_scenario_defaults(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, {"scenario": "wind"}))
+        cfg = config_from_dict(load_raw(write_config(tmp_path, {"scenario": "wind"})))
         assert cfg.population.count == 2000
         assert cfg.clock.horizon == 1440
         assert cfg.wind.turbine.rated_power == 2500.0
         assert cfg.wind.turbine.turbine_count == 2
 
     def test_paper_tracking_setup_accepted(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, {
+        cfg = config_from_dict(load_raw(write_config(tmp_path, {
             "scenario": "tracking",
             "population": {"count": 1000},
             "thermostat": {"setpoint_c": 20.0, "deadband_c": 1.0, "resolution": 1000},
-        }))
+        })))
         assert cfg.thermostat.setpoint == 20.0
         assert cfg.thermostat.deadband == 1.0
 
@@ -67,11 +67,11 @@ class TestLoadConfig:
         path = write_config(tmp_path, {"scenario": "tracking",
                                        "thermostat": {"resolution": 1001}})
         with pytest.raises(ConfigError, match="divisible by 8"):
-            load_config(path)
+            config_from_dict(load_raw(path))
 
     def test_unknown_keys_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown keys"):
-            load_config(write_config(tmp_path, {"scenario": "tracking", "typo": 1}))
+            config_from_dict(load_raw(write_config(tmp_path, {"scenario": "tracking", "typo": 1})))
 
     def test_bad_scenario_rejected(self):
         with pytest.raises(ConfigError, match="scenario"):
@@ -83,13 +83,13 @@ class TestLoadConfig:
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
-            load_config(tmp_path / "absent.json")
+            load_raw(tmp_path / "absent.json")
 
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
-            load_config(path)
+            load_raw(path)
 
     def test_missing_series_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="file not found"):
@@ -106,7 +106,7 @@ class TestLoadConfig:
         original = config_from_dict(SMALL_WIND)
         path = tmp_path / "manifest.json"
         write_manifest(path, original, "0.1.0")
-        assert load_config(path) == original
+        assert config_from_dict(load_raw(path)) == original
 
     def test_dict_round_trip(self):
         cfg = config_from_dict(SMALL_WIND)
@@ -589,6 +589,6 @@ def test_diagnostic_dumps_written(tmp_path):
     record = np.load(dumps[0])
     assert record["k"] == 0 and record["ms_min"] == 6 and record["ms_max"] == 10
     assert record["phi0"].shape == record["phi1"].shape == (17,)  # one per grid point
-    cfg = load_config(config)
+    cfg = config_from_dict(load_raw(config))
     step = 2 * cfg.thermostat.deadband / cfg.thermostat.resolution
     assert ((record["phi0"] + record["phi1"]) * step).sum() == pytest.approx(1.0, abs=1e-9)
