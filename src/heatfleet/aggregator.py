@@ -46,17 +46,17 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)  # arrays have no truth value: identity equality
 class PowerDensityPair:
-    """Discrete PDDFs over the measurement grid.
+    """Discrete PDDFs over the measurement grid of the thermostat config cfg.
 
     phi0/phi1 are densities per degC for the inactive/active states, indexed
-    by m in [0, R]; phi * grid_step is the fraction of installed capacity in
-    that bin. The pair holds fractions only: the fleet's capacity in kW is
+    by m in [0, R]; phi * cfg.grid_step is the fraction of installed capacity
+    in that bin. The pair holds fractions only: the fleet's capacity in kW is
     kept by the Population and the run's Simulation and ScenarioSeries.
     """
 
     phi0: np.ndarray
     phi1: np.ndarray
-    grid_step: float
+    cfg: ThermostatConfig
     # on-half cumulative capacity fractions, and the CFF over [3R/8, 5R/8]
     _cum1: np.ndarray = field(init=False, repr=False)
     _window: np.ndarray = field(init=False, repr=False)
@@ -64,25 +64,21 @@ class PowerDensityPair:
     def __post_init__(self) -> None:
         phi0 = np.asarray(self.phi0, dtype=float)
         phi1 = np.asarray(self.phi1, dtype=float)
-        if phi0.shape != phi1.shape or phi0.ndim != 1:
-            raise ValueError("phi0 and phi1 must be 1-d arrays of equal length")
-        if phi0.size < 2:
-            raise ValueError("need at least two grid points")
+        if not phi0.shape == phi1.shape == (self.cfg.resolution + 1,):
+            raise ValueError(f"phi0 and phi1 must each have R + 1 = {self.cfg.resolution + 1} "
+                             f"entries, got shapes {phi0.shape} and {phi1.shape}")
         densities = np.concatenate((phi0, phi1))
         if not (np.isfinite(densities).all() and (densities >= 0.0).all()):
             raise ValueError("densities must be finite and nonnegative")
-        if not (math.isfinite(self.grid_step) and self.grid_step > 0.0):
-            raise ValueError("grid_step must be finite and > 0")
         self._set_densities(densities)
 
     @classmethod
-    def _from_valid(cls, densities: np.ndarray, grid_step: float) -> "PowerDensityPair":
+    def _from_valid(cls, densities: np.ndarray, cfg: ThermostatConfig) -> "PowerDensityPair":
         """Construct without re-validating. The caller guarantees every
         invariant __post_init__ checks: densities is the finite, nonnegative 1-d
-        float array [phi0 | phi1] of even length >= 4, and grid_step is finite
-        and > 0."""
+        float array [phi0 | phi1] with R + 1 entries in each half."""
         pair = object.__new__(cls)
-        object.__setattr__(pair, "grid_step", grid_step)
+        object.__setattr__(pair, "cfg", cfg)
         pair._set_densities(densities)
         return pair
 
@@ -90,23 +86,16 @@ class PowerDensityPair:
         # phi0 and phi1 are views of [phi0 | phi1]; scaling it once gives the
         # same products, and each cumsum the same sequential sums. Entry i of
         # the window is the CFF at m_s = 3R/8 + i, cum0[m_s - R/4] +
-        # cum1[m_s + R/4 - 1], so the off half's sum stops at 3R/8. The window
-        # is empty for R < 8; cff's resolution check keeps every R outside 8Z
-        # away from it.
+        # cum1[m_s + R/4 - 1], so the off half's sum stops at 3R/8.
         bins = densities.size // 2
         e = (bins - 1) // 8  # R/8
-        fractions = densities * self.grid_step
+        fractions = densities * self.cfg.grid_step
         cum0 = fractions[:3 * e + 1].cumsum()
         cum1 = fractions[bins:].cumsum()
         object.__setattr__(self, "phi0", densities[:bins])
         object.__setattr__(self, "phi1", densities[bins:])
         object.__setattr__(self, "_cum1", cum1)
         object.__setattr__(self, "_window", cum0[e:] + cum1[5 * e - 1: 7 * e])
-
-    @property
-    def resolution(self) -> int:
-        """Grid resolution R (arrays have R+1 entries)."""
-        return self.phi0.size - 1
 
 
 class FeasibleRegion(NamedTuple):
@@ -163,7 +152,7 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
     # one histogram over [off bins | on bins]; each bin still sums in unit order
     w = np.bincount((n != 0) * bins + m, weights=p, minlength=2 * bins)
     w /= p_cap * cfg.grid_step
-    return PowerDensityPair._from_valid(w, cfg.grid_step)
+    return PowerDensityPair._from_valid(w, cfg)
 
 
 def capacity_factor(pddf: PowerDensityPair) -> float:
@@ -171,12 +160,9 @@ def capacity_factor(pddf: PowerDensityPair) -> float:
     return float(pddf._cum1[-1])
 
 
-def cff(pddf: PowerDensityPair, m_s: int, cfg: ThermostatConfig) -> float:
+def cff(pddf: PowerDensityPair, m_s: int) -> float:
     """Capacity-factor function: predicted next-interval Phi for set-point index m_s."""
-    if pddf.resolution != cfg.resolution:
-        raise ValueError(
-            f"PDDF resolution {pddf.resolution} does not match config {cfg.resolution}"
-        )
+    cfg = pddf.cfg
     if not cfg.ms_min <= m_s <= cfg.ms_max:
         raise ValueError(
             f"set-point index {m_s} outside admissible [{cfg.ms_min}, {cfg.ms_max}]"
@@ -184,14 +170,13 @@ def cff(pddf: PowerDensityPair, m_s: int, cfg: ThermostatConfig) -> float:
     return float(pddf._window[m_s - cfg.ms_min])
 
 
-def feasible_region(pddf: PowerDensityPair, cfg: ThermostatConfig) -> FeasibleRegion:
+def feasible_region(pddf: PowerDensityPair) -> FeasibleRegion:
     """Achievable next-interval capacity factors under the quarter-deadband limit."""
-    lo, hi = cfg.ms_min, cfg.ms_max
-    return FeasibleRegion(lo, hi, cff(pddf, lo, cfg), cff(pddf, hi, cfg))
+    lo, hi = pddf.cfg.ms_min, pddf.cfg.ms_max
+    return FeasibleRegion(lo, hi, cff(pddf, lo), cff(pddf, hi))
 
 
-def select_setpoint(pddf: PowerDensityPair, phi_target: float,
-                    cfg: ThermostatConfig) -> ControlDecision:
+def select_setpoint(pddf: PowerDensityPair, phi_target: float) -> ControlDecision:
     """Pick the admissible set-point index whose predicted Phi is closest to the target.
 
     The minimizers of the squared deviation, compared as gaps |phi_target -
@@ -202,7 +187,7 @@ def select_setpoint(pddf: PowerDensityPair, phi_target: float,
     """
     if not math.isfinite(phi_target):
         raise ValueError(f"phi_target must be finite, got {phi_target!r}")
-    region = feasible_region(pddf, cfg)
+    region = feasible_region(pddf)
     lo, hi, w = region.ms_min, region.ms_max, pddf._window
     # w[k-1] < phi_target <= w[k], so both gaps are >= 0; outside the window
     # both brackets collapse onto w[0] or w[-1] and the gaps do not matter
@@ -215,6 +200,7 @@ def select_setpoint(pddf: PowerDensityPair, phi_target: float,
     run_lo = lo + int(w.searchsorted(best_lo, "left"))
     run_hi = lo + int(w.searchsorted(best_hi, "right")) - 1
 
+    cfg = pddf.cfg
     center = cfg.resolution // 2
     ms_star = min(max(center, run_lo), run_hi)
     u = cfg.deadband * (2.0 * ms_star / cfg.resolution - 1.0)
@@ -222,17 +208,14 @@ def select_setpoint(pddf: PowerDensityPair, phi_target: float,
                            float(phi_target), float(w[ms_star - lo]))
 
 
-def max_cff_increment(pddf: PowerDensityPair, cfg: ThermostatConfig) -> float:
+def max_cff_increment(pddf: PowerDensityPair) -> float:
     """Largest one-index CFF step over the admissible interval.
 
     This is the granularity of the capacity factors reachable from the
     current PDDF: any feasible target can be met to within one such step.
     """
-    if pddf.resolution != cfg.resolution:
-        raise ValueError(
-            f"PDDF resolution {pddf.resolution} does not match config {cfg.resolution}"
-        )
-    lo, hi, off, step = cfg.ms_min, cfg.ms_max, cfg.switch_offset, pddf.grid_step
+    cfg = pddf.cfg
+    lo, hi, off, step = cfg.ms_min, cfg.ms_max, cfg.switch_offset, cfg.grid_step
     # stepping m_s -> m_s+1 newly includes bin m_s+1-off of phi0 and bin m_s+off of phi1
     steps = pddf.phi0[lo + 1 - off: hi + 1 - off] * step + pddf.phi1[lo + off: hi + off] * step
-    return float(steps.max()) if steps.size else 0.0
+    return float(steps.max())

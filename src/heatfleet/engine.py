@@ -379,9 +379,9 @@ class Simulation:
         # (3) power density pair
         pddf = aggregator.build_pddf_from_arrays(pop.machine_state, m,
                                                  pop.rated_power, cfg)
-        region = aggregator.feasible_region(pddf, cfg)
+        region = aggregator.feasible_region(pddf)
         phi_now = aggregator.capacity_factor(pddf)
-        phi_hold = aggregator.cff(pddf, cfg.resolution // 2, cfg)
+        phi_hold = aggregator.cff(pddf, cfg.resolution // 2)
 
         # (4) scenario target (None holds the zero-offset prediction phi_hold)
         target = self.scenario.phi_target(self, phi_now, region)
@@ -390,7 +390,7 @@ class Simulation:
             target = phi_hold
 
         # (5) optimal common set-point index
-        decision = aggregator.select_setpoint(pddf, target, cfg)
+        decision = aggregator.select_setpoint(pddf, target)
 
         # (6) synchronized switch on the reported indices
         n_new = hysteresis_update(pop.machine_state, m, decision.ms_star, cfg)
@@ -412,7 +412,7 @@ class Simulation:
             decision.phi_target, decision.u, decision.phi_min, decision.phi_max,
             np.add.reduce(pop.indoor_temp) / pop.indoor_temp.size, decision.phi_predicted,
             self._max_rated_power / self.installed_capacity
-            + aggregator.max_cff_increment(pddf, cfg),
+            + aggregator.max_cff_increment(pddf),
             min_theta, max_theta,
         )
         cols["controlled"][k] = controlled

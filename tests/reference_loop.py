@@ -49,14 +49,14 @@ def run_reference(spec, scenario, clock) -> dict:
         m = np.floor((theta - cfg.setpoint + cfg.deadband) / cfg.grid_step + 0.5)
         m = m.clip(0, r).astype(np.int64)
         pddf = build_pddf_from_arrays(n, m, pop.rated_power, cfg)  # (3)
-        region = feasible_region(pddf, cfg)
+        region = feasible_region(pddf)
         sim.k = k  # (4)
         target = scenario.phi_target(sim, capacity_factor(pddf), region)
         controlled = target is not None
         if not controlled:
-            target = cff(pddf, r // 2, cfg)
+            target = cff(pddf, r // 2)
         ms_star = min(range(cfg.ms_min, cfg.ms_max + 1),  # (5)
-                      key=lambda s: (abs(target - cff(pddf, s, cfg)), abs(s - r // 2)))
+                      key=lambda s: (abs(target - cff(pddf, s)), abs(s - r // 2)))
         lower, upper = ms_star - r // 4, ms_star + r // 4  # (6) on at <= lower, off at >= upper
         n_new = ((m <= lower) | ((m < upper) & (n != 0))).astype(np.int8)
         switched = n_new != n
@@ -67,8 +67,8 @@ def run_reference(spec, scenario, clock) -> dict:
             nominal_kw=inputs.nominal_kw[k], wind_kw=inputs.wind_kw[k], heatpump_kw=heatpump,
             total_kw=total, phi=phi, phi_target=target, u=cfg.deadband * (2.0 * ms_star / r - 1.0),
             phi_min=region.phi_min, phi_max=region.phi_max, mean_theta=theta.mean(),
-            phi_predicted=cff(pddf, ms_star, cfg),
-            quantization_floor=pop.rated_power.max() / capacity + max_cff_increment(pddf, cfg),
+            phi_predicted=cff(pddf, ms_star),
+            quantization_floor=pop.rated_power.max() / capacity + max_cff_increment(pddf),
             controlled=controlled, min_theta=theta.min(), max_theta=theta.max(),
             switch_count=switched.sum(), rapid_cycle_count=(switched & prev_switched).sum(),
             ms_star=ms_star)

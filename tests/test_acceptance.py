@@ -102,7 +102,7 @@ def test_criterion_1_cff_exactness():
         state, m, power = random_population(rng, n, cfg)
         pddf = build_pddf_from_arrays(state, m, power, cfg)
         m_s = int(rng.integers(cfg.ms_min, cfg.ms_max + 1))
-        predicted = cff(pddf, m_s, cfg)
+        predicted = cff(pddf, m_s)
         n_new = hysteresis_update(state, m, m_s, cfg)
         realized = power[n_new.astype(bool)].sum() / power.sum()
         worst = max(worst, abs(predicted - realized))
@@ -161,12 +161,12 @@ def test_criterion_3_optimizer_correctness():
         state, m, power = random_population(rng, int(rng.integers(1, 200)), cfg)
         pddf = build_pddf_from_arrays(state, m, power, cfg)
         target = float(rng.uniform(-0.3, 1.3))
-        decision = select_setpoint(pddf, target, cfg)
+        decision = select_setpoint(pddf, target)
 
         center = r // 2
         best = None
         for m_s in range(cfg.ms_min, cfg.ms_max + 1):
-            dev = (target - cff(pddf, m_s, cfg)) ** 2
+            dev = (target - cff(pddf, m_s)) ** 2
             key = (dev, abs(m_s - center))
             if best is None or key < best[0]:
                 best = (key, m_s)
@@ -267,9 +267,9 @@ def test_criterion_7_density_invariants():
         state, m, power = random_population(rng, int(rng.integers(1, 500)), cfg)
         pddf = build_pddf_from_arrays(state, m, power, cfg)
         assert (pddf.phi0 >= 0).all() and (pddf.phi1 >= 0).all()
-        total_mass = np.cumsum(pddf.phi0 * pddf.grid_step)[-1] + capacity_factor(pddf)
+        total_mass = np.cumsum(pddf.phi0 * pddf.cfg.grid_step)[-1] + capacity_factor(pddf)
         assert abs(total_mass - 1.0) <= 1e-9
-        sweep = np.array([cff(pddf, m_s, cfg)
+        sweep = np.array([cff(pddf, m_s)
                           for m_s in range(cfg.ms_min, cfg.ms_max + 1)])
         assert (np.diff(sweep) >= 0.0).all()
     print("\nACCEPTANCE 7 PASS: nonnegativity, unit normalization and CFF "

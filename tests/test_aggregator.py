@@ -35,7 +35,7 @@ def pddf_of(reports, cfg):
 
 def total_mass(pddf):
     """sum (phi0 + phi1) * grid_step; 1.0 for any PDDF built from reports."""
-    return np.cumsum(pddf.phi0 * pddf.grid_step)[-1] + capacity_factor(pddf)
+    return np.cumsum(pddf.phi0 * pddf.cfg.grid_step)[-1] + capacity_factor(pddf)
 
 
 def realized_phi_after_switch(state, m, power, m_s, cfg):
@@ -47,13 +47,18 @@ def realized_phi_after_switch(state, m, power, m_s, cfg):
 class TestBuildPddf:
     def test_single_unit(self):
         pddf = pddf_of([(1, 300, 4.0)], CFG1000)
-        assert pddf.phi1[300] * pddf.grid_step == pytest.approx(1.0, abs=1e-12)
+        assert pddf.phi1[300] * pddf.cfg.grid_step == pytest.approx(1.0, abs=1e-12)
         assert pddf.phi0.sum() == 0.0
+
+    def test_pair_carries_its_config(self):
+        cfg = ThermostatConfig(setpoint=21.0, deadband=0.5, resolution=16)
+        assert build_pddf_from_arrays(np.array([1]), np.array([3]), np.array([4.0]),
+                                      cfg).cfg is cfg
 
     def test_two_unit_weighted_histogram(self):
         pddf = pddf_of([(1, 300, 4.0), (0, 700, 6.0)], CFG1000)
-        assert pddf.phi1[300] * pddf.grid_step == pytest.approx(0.4, abs=1e-12)
-        assert pddf.phi0[700] * pddf.grid_step == pytest.approx(0.6, abs=1e-12)
+        assert pddf.phi1[300] * pddf.cfg.grid_step == pytest.approx(0.4, abs=1e-12)
+        assert pddf.phi0[700] * pddf.cfg.grid_step == pytest.approx(0.6, abs=1e-12)
 
     def test_capacity_factor_matches_direct_sum(self):
         rng = np.random.default_rng(17)
@@ -141,9 +146,8 @@ class TestCff:
         # masses phi*dtheta laid out on the 9-point grid, dtheta = 0.25
         mass0 = np.array([0.1, 0.1, 0, 0, 0.2, 0, 0, 0, 0])
         mass1 = np.array([0, 0, 0.3, 0, 0, 0.3, 0, 0, 0])
-        pddf = PowerDensityPair(phi0=mass0 / 0.25, phi1=mass1 / 0.25,
-                                grid_step=0.25)
-        assert cff(pddf, 4, CFG8) == pytest.approx(0.8, abs=1e-12)
+        pddf = PowerDensityPair(phi0=mass0 / 0.25, phi1=mass1 / 0.25, cfg=CFG8)
+        assert cff(pddf, 4) == pytest.approx(0.8, abs=1e-12)
 
     def test_worked_example_against_unit_simulation(self):
         # five explicit units carrying the same weights, switched per the deadband rule
@@ -153,33 +157,33 @@ class TestCff:
         pddf = build_pddf_from_arrays(state, m, power, CFG8)
         for m_s in range(CFG8.ms_min, CFG8.ms_max + 1):
             realized = realized_phi_after_switch(state, m, power, m_s, CFG8)
-            assert abs(cff(pddf, m_s, CFG8) - realized) <= 1e-12
+            assert abs(cff(pddf, m_s) - realized) <= 1e-12
 
     def test_saturated_low_mass(self):
         # all active mass at the bottom of the grid: everything stays on
         pddf = pddf_of([(1, 0, 4.0)], CFG1000)
         for m_s in (375, 500, 625):
-            assert cff(pddf, m_s, CFG1000) == pytest.approx(1.0, abs=1e-12)
+            assert cff(pddf, m_s) == pytest.approx(1.0, abs=1e-12)
 
     def test_saturated_high_mass(self):
         # all inactive mass at the top: nothing switches on
         pddf = pddf_of([(0, 1000, 4.0)], CFG1000)
         for m_s in (375, 500, 625):
-            assert cff(pddf, m_s, CFG1000) == 0.0
+            assert cff(pddf, m_s) == 0.0
 
     def test_out_of_range_rejected(self):
         pddf = pddf_of([(1, 500, 4.0)], CFG1000)
         with pytest.raises(ValueError):
-            cff(pddf, 374, CFG1000)
+            cff(pddf, 374)
         with pytest.raises(ValueError):
-            cff(pddf, 626, CFG1000)
+            cff(pddf, 626)
 
     def test_nondecreasing_in_setpoint_index(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
             state, m, power = random_reports(rng, int(rng.integers(1, 300)), CFG8)
             pddf = build_pddf_from_arrays(state, m, power, CFG8)
-            values = [cff(pddf, s, CFG8) for s in range(CFG8.ms_min, CFG8.ms_max + 1)]
+            values = [cff(pddf, s) for s in range(CFG8.ms_min, CFG8.ms_max + 1)]
             assert (np.diff(values) >= 0).all()
 
     def test_prediction_equals_realization(self):
@@ -189,21 +193,21 @@ class TestCff:
             pddf = build_pddf_from_arrays(state, m, power, CFG8)
             m_s = int(rng.integers(CFG8.ms_min, CFG8.ms_max + 1))
             realized = realized_phi_after_switch(state, m, power, m_s, CFG8)
-            assert abs(cff(pddf, m_s, CFG8) - realized) <= 1e-12
+            assert abs(cff(pddf, m_s) - realized) <= 1e-12
 
 
 class TestFeasibleRegion:
     def test_paper_resolution_bounds(self):
         pddf = pddf_of([(1, 500, 4.0)], CFG1000)
-        region = feasible_region(pddf, CFG1000)
+        region = feasible_region(pddf)
         assert (region.ms_min, region.ms_max) == (375, 625)
 
     def test_uniform_active_mass(self):
         r = CFG1000.resolution
         mass1 = np.full(r + 1, 1.0 / (r + 1))
         pddf = PowerDensityPair(phi0=np.zeros(r + 1), phi1=mass1 / CFG1000.grid_step,
-                                grid_step=CFG1000.grid_step)
-        region = feasible_region(pddf, CFG1000)
+                                cfg=CFG1000)
+        region = feasible_region(pddf)
         assert region.phi_max - region.phi_min == pytest.approx(250 / (r + 1), abs=1e-12)
 
     def test_bounds_bracket_every_cff(self):
@@ -211,10 +215,10 @@ class TestFeasibleRegion:
         for _ in range(20):
             state, m, power = random_reports(rng, 100, CFG8)
             pddf = build_pddf_from_arrays(state, m, power, CFG8)
-            region = feasible_region(pddf, CFG8)
+            region = feasible_region(pddf)
             assert region.phi_min <= region.phi_max
             for m_s in range(CFG8.ms_min, CFG8.ms_max + 1):
-                assert region.phi_min <= cff(pddf, m_s, CFG8) <= region.phi_max
+                assert region.phi_min <= cff(pddf, m_s) <= region.phi_max
 
 
 def exhaustive_setpoint_oracle(pddf, phi_target, cfg):
@@ -222,7 +226,7 @@ def exhaustive_setpoint_oracle(pddf, phi_target, cfg):
     center = cfg.resolution // 2
     best = None
     for m_s in range(cfg.ms_min, cfg.ms_max + 1):
-        dev = abs(phi_target - cff(pddf, m_s, cfg))
+        dev = abs(phi_target - cff(pddf, m_s))
         key = (dev, abs(m_s - center))
         if best is None or key < best[0]:
             best = (key, m_s)
@@ -234,8 +238,8 @@ class TestSelectSetpoint:
         rng = np.random.default_rng(43)
         state, m, power = random_reports(rng, 400, CFG1000)
         pddf = build_pddf_from_arrays(state, m, power, CFG1000)
-        target = cff(pddf, 500, CFG1000)
-        decision = select_setpoint(pddf, target, CFG1000)
+        target = cff(pddf, 500)
+        decision = select_setpoint(pddf, target)
         assert decision.ms_star == 500
         assert decision.u == 0.0
         assert decision.phi_predicted == target
@@ -247,20 +251,19 @@ class TestSelectSetpoint:
         m = np.repeat(np.arange(r + 1), 2)
         power = np.full(2 * (r + 1), 4.0)
         pddf = build_pddf_from_arrays(state, m, power, CFG1000)
-        high = select_setpoint(pddf, 2.0, CFG1000)
+        high = select_setpoint(pddf, 2.0)
         assert high.ms_star == high.ms_max == 625
         assert high.u == CFG1000.deadband / 4
         assert high.clamped
-        low = select_setpoint(pddf, -1.0, CFG1000)
+        low = select_setpoint(pddf, -1.0)
         assert low.ms_star == low.ms_min == 375
         assert low.u == -CFG1000.deadband / 4
 
     def test_small_grid_worked_example(self):
         mass0 = np.array([0.1, 0.1, 0, 0, 0.2, 0, 0, 0, 0])
         mass1 = np.array([0, 0, 0.3, 0, 0, 0.3, 0, 0, 0])
-        pddf = PowerDensityPair(phi0=mass0 / 0.25, phi1=mass1 / 0.25,
-                                grid_step=0.25)
-        decision = select_setpoint(pddf, 0.75, CFG8)
+        pddf = PowerDensityPair(phi0=mass0 / 0.25, phi1=mass1 / 0.25, cfg=CFG8)
+        decision = select_setpoint(pddf, 0.75)
         # cff is (0.5, 0.8, 0.8) over {3, 4, 5}: tie between 4 and 5 goes to R/2
         assert decision.ms_star == exhaustive_setpoint_oracle(pddf, 0.75, CFG8) == 4
 
@@ -272,7 +275,7 @@ class TestSelectSetpoint:
             state, m, power = random_reports(rng, n, cfg)
             pddf = build_pddf_from_arrays(state, m, power, cfg)
             target = float(rng.uniform(-0.2, 1.2))
-            decision = select_setpoint(pddf, target, cfg)
+            decision = select_setpoint(pddf, target)
             assert decision.ms_star == exhaustive_setpoint_oracle(pddf, target, cfg)
             assert abs(decision.u) <= cfg.deadband / 4
             # the grid temperature theta(m*) of the chosen index is setpoint + u
@@ -285,16 +288,16 @@ class TestSelectSetpoint:
         phi0, phi1 = np.zeros(9), np.zeros(9)
         phi0[8] = phi1[8] = 1.0
         phi1[5] = 8e-170
-        pddf = PowerDensityPair(phi0=phi0, phi1=phi1, grid_step=0.25)
-        assert [cff(pddf, m_s, CFG8) for m_s in (3, 4, 5)] == [0.0, 2e-170, 2e-170]
-        decision = select_setpoint(pddf, 5e-171, CFG8)
+        pddf = PowerDensityPair(phi0=phi0, phi1=phi1, cfg=CFG8)
+        assert [cff(pddf, m_s) for m_s in (3, 4, 5)] == [0.0, 2e-170, 2e-170]
+        decision = select_setpoint(pddf, 5e-171)
         assert decision.ms_star == exhaustive_setpoint_oracle(pddf, 5e-171, CFG8) == 3
         assert decision.phi_predicted == 0.0
 
     def test_nonfinite_target_rejected(self):
         pddf = pddf_of([(1, 4, 4.0)], CFG8)
         with pytest.raises(ValueError):
-            select_setpoint(pddf, float("nan"), CFG8)
+            select_setpoint(pddf, float("nan"))
 
 
 class TestBoundaryCondition:
@@ -305,7 +308,7 @@ class TestBoundaryCondition:
         m_s = int(rng.integers(CFG1000.ms_min, CFG1000.ms_max + 1))
         n_new = hysteresis_update(state, m, m_s, CFG1000)
         pddf_after = build_pddf_from_arrays(n_new, m, power, CFG1000)
-        assert abs(capacity_factor(pddf_after) - cff(pddf_before, m_s, CFG1000)) <= 1e-12
+        assert abs(capacity_factor(pddf_after) - cff(pddf_before, m_s)) <= 1e-12
 
     def test_idempotent_zero_offset_with_frozen_temperatures(self):
         rng = np.random.default_rng(59)
@@ -314,7 +317,7 @@ class TestBoundaryCondition:
             pddf_before = build_pddf_from_arrays(state, m, power, CFG1000)
             state = hysteresis_update(state, m, 500, CFG1000)
             pddf_after = build_pddf_from_arrays(state, m, power, CFG1000)
-            assert abs(capacity_factor(pddf_after) - cff(pddf_before, 500, CFG1000)) \
+            assert abs(capacity_factor(pddf_after) - cff(pddf_before, 500)) \
                 <= 1e-12
 
     def test_interior_unit_unaffected(self):
@@ -326,7 +329,7 @@ class TestBoundaryCondition:
         for m_s in range(CFG1000.ms_min + 126, CFG1000.ms_max - 125):
             n_new = hysteresis_update(state, m, m_s, CFG1000)
             after = build_pddf_from_arrays(n_new, m, power, CFG1000)
-            assert abs(capacity_factor(after) - cff(pddf, m_s, CFG1000)) <= 1e-12
+            assert abs(capacity_factor(after) - cff(pddf, m_s)) <= 1e-12
             assert capacity_factor(after) == capacity_factor(pddf)
 
 
@@ -335,16 +338,29 @@ def test_max_cff_increment_matches_sweep():
     for _ in range(30):
         state, m, power = random_reports(rng, 200, CFG8)
         pddf = build_pddf_from_arrays(state, m, power, CFG8)
-        values = [cff(pddf, s, CFG8) for s in range(CFG8.ms_min, CFG8.ms_max + 1)]
-        assert max_cff_increment(pddf, CFG8) == pytest.approx(
+        values = [cff(pddf, s) for s in range(CFG8.ms_min, CFG8.ms_max + 1)]
+        assert max_cff_increment(pddf) == pytest.approx(
             np.max(np.diff(values)), abs=1e-15)
 
 
 def test_density_invariants_enforced():
+    phi0 = np.full(CFG8.resolution + 1, 0.1)
+    phi0[0] = -0.1
     with pytest.raises(ValueError):
-        PowerDensityPair(phi0=np.array([-0.1, 0.1]), phi1=np.zeros(2), grid_step=0.25)
+        PowerDensityPair(phi0=phi0, phi1=np.zeros(CFG8.resolution + 1), cfg=CFG8)
     with pytest.raises(ValueError):
-        PowerDensityPair(phi0=np.zeros(3), phi1=np.zeros(2), grid_step=0.25)
+        PowerDensityPair(phi0=np.zeros(CFG8.resolution + 2),
+                         phi1=np.zeros(CFG8.resolution + 1), cfg=CFG8)
+
+
+# one side or both off the config's R + 1 grid points; both at R = 1000 is
+# a pair measured on another thermostat grid
+@pytest.mark.parametrize("sizes", [(8, 9), (9, 8), (10, 9), (9, 10), (1001, 1001)],
+                         ids=["phi0-short", "phi1-short", "phi0-long", "phi1-long", "r1000"])
+def test_pair_needs_r_plus_one_densities_for_its_config(sizes):
+    phi0, phi1 = (np.full(size, 0.5) for size in sizes)
+    with pytest.raises(ValueError, match=r"phi0 and phi1 must each have R \+ 1 = 9 entries"):
+        PowerDensityPair(phi0=phi0, phi1=phi1, cfg=CFG8)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -353,16 +369,7 @@ def test_non_finite_densities_rejected(bad):
     phi1 = np.full(CFG8.resolution + 1, 0.5)
     phi1[3] = bad
     with pytest.raises(ValueError, match="densities must be finite"):
-        PowerDensityPair(phi0=np.zeros(CFG8.resolution + 1), phi1=phi1,
-                         grid_step=CFG8.grid_step)
-
-
-@pytest.mark.parametrize("scalar", ["grid_step"])
-def test_infinite_pair_scalars_rejected(scalar):
-    # an infinite grid step turns every zero density's fraction into nan
-    with pytest.raises(ValueError, match=f"{scalar} must be finite"):
-        PowerDensityPair(phi0=np.zeros(CFG8.resolution + 1),
-                         phi1=np.full(CFG8.resolution + 1, 0.5), grid_step=np.inf)
+        PowerDensityPair(phi0=np.zeros(CFG8.resolution + 1), phi1=phi1, cfg=CFG8)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +416,9 @@ def test_cff_nondecreasing_and_mass_one(fleet):
     cfg, n, m, p = fleet
     pddf = build_pddf_from_arrays(n, m, p, cfg)
     assert abs(total_mass(pddf) - 1.0) <= 1e-12
-    values = [cff(pddf, m_s, cfg) for m_s in admissible(cfg.resolution)]
+    values = [cff(pddf, m_s) for m_s in admissible(cfg.resolution)]
     assert all(a <= b for a, b in zip(values, values[1:]))
-    region = feasible_region(pddf, cfg)
+    region = feasible_region(pddf)
     assert (region.phi_min, region.phi_max) == (values[0], values[-1])
 
 
@@ -421,7 +428,7 @@ def test_select_setpoint_is_exhaustive_argmin(fleet, data):
     cfg, n, m, p = fleet
     r = cfg.resolution
     pddf = build_pddf_from_arrays(n, m, p, cfg)
-    values = [cff(pddf, m_s, cfg) for m_s in admissible(r)]
+    values = [cff(pddf, m_s) for m_s in admissible(r)]
     # targets on a reachable value and midway between two put ties on both
     # sides. Midway between two adjacent distinct values is an exact tie
     # whenever both halves round alike: between the two lowest, and on either
@@ -434,7 +441,7 @@ def test_select_setpoint_is_exhaustive_argmin(fleet, data):
             for a in (0, c - 1, c)]
     for target in [values[i], (values[i] + values[j]) / 2.0, *ties,
                    data.draw(st.floats(-0.5, 1.5)), -1.0, 2.0]:
-        decision = select_setpoint(pddf, target, cfg)
+        decision = select_setpoint(pddf, target)
         best = min(admissible(r), key=lambda s: (abs(target - values[s - 3 * r // 8]),
                                                  abs(s - r // 2)))
         assert decision.ms_star == best
@@ -452,6 +459,6 @@ def test_realized_equals_predicted_for_every_setpoint(fleet):
     pddf = build_pddf_from_arrays(n, m, p, cfg)
     for m_s in admissible(r):
         realized = deadband_rule_phi(n, m, p, m_s, r)
-        assert abs(cff(pddf, m_s, cfg) - realized) <= 1e-12
+        assert abs(cff(pddf, m_s) - realized) <= 1e-12
         after = build_pddf_from_arrays(hysteresis_update(n, m, m_s, cfg), m, p, cfg)
         assert capacity_factor(after) == pytest.approx(realized, rel=0, abs=1e-12)

@@ -352,8 +352,8 @@ def test_array_dataclasses_compare_by_identity():
     spec = degenerate_spec(count=4, process_noise_sd=0.01)
     clock = SimulationClock(1.0, 3)
     pairs = [
-        (PowerDensityPair(phi, phi, 0.25),
-         PowerDensityPair(phi.copy(), phi.copy(), 0.25)),
+        (PowerDensityPair(phi, phi, ThermostatConfig(resolution=8)),
+         PowerDensityPair(phi.copy(), phi.copy(), ThermostatConfig(resolution=8))),
         (generate_population(spec), generate_population(spec)),
         (run_simulation(spec, TrackingScenario(), clock),
          run_simulation(spec, TrackingScenario(), clock)),

@@ -86,8 +86,8 @@ def duty_cycle_oracle(capacitance, resistance, rated_power, cop, setpoint, deadb
 
 def max_cff_increment_oracle(pddf, cfg):
     lo, hi, off = cfg.ms_min, cfg.ms_max, cfg.switch_offset
-    mass0 = pddf.phi0 * pddf.grid_step
-    mass1 = pddf.phi1 * pddf.grid_step
+    mass0 = pddf.phi0 * cfg.grid_step
+    mass1 = pddf.phi1 * cfg.grid_step
     steps = mass0[lo + 1 - off: hi + 1 - off] + mass1[lo + off: hi + off]
     return float(steps.max())
 
@@ -213,11 +213,11 @@ def test_single_bincount_pddf_matches_masked_oracle(fleet):
     phi0, phi1 = pddf_oracle(n, m, p, cfg)
     assert same_bits(pddf.phi0, phi0)
     assert same_bits(pddf.phi1, phi1)
-    assert same_bits(max_cff_increment(pddf, cfg), max_cff_increment_oracle(pddf, cfg))
+    assert same_bits(max_cff_increment(pddf), max_cff_increment_oracle(pddf, cfg))
     # the cumulative sums are only pinned through what reads them
     cum0, cum1 = np.cumsum(phi0 * cfg.grid_step), np.cumsum(phi1 * cfg.grid_step)
     lo, hi, off = cfg.ms_min, cfg.ms_max, cfg.switch_offset
-    window = [cff(pddf, m_s, cfg) for m_s in range(lo, hi + 1)]
+    window = [cff(pddf, m_s) for m_s in range(lo, hi + 1)]
     assert same_bits(window, cum0[lo - off: hi - off + 1] + cum1[lo + off - 1: hi + off])
     assert same_bits(capacity_factor(pddf), cum1[-1])
 
@@ -237,33 +237,35 @@ def test_single_unit_pddf_matches_oracle():
 @given(st.data())
 def test_validated_pair_cums_match_full_cumsum_oracle(data):
     # the off-half sums stop at 3R/8; the smallest grids put that index next
-    # to the cut
-    cfg = ThermostatConfig(resolution=data.draw(st.sampled_from([8, 16])))
+    # to the cut. The deadband sets the grid step 2 deadband / R
+    r = data.draw(st.sampled_from([8, 16]))
+    step = data.draw(st.sampled_from([2.0 / r, 0.1, 1.0, 3.0]))
+    cfg = ThermostatConfig(deadband=step * r / 2.0, resolution=r)
     densities = hnp.arrays(np.float64, cfg.resolution + 1,
                            elements=st.floats(0.0, 1e6, allow_subnormal=False))
     phi0, phi1 = data.draw(densities), data.draw(densities)
-    step = data.draw(st.sampled_from([cfg.grid_step, 0.1, 1.0, 3.0]))
-    pddf = PowerDensityPair(phi0, phi1, step)
-    cum0, cum1 = np.cumsum(phi0 * step), np.cumsum(phi1 * step)
+    pddf = PowerDensityPair(phi0, phi1, cfg)
+    cum0, cum1 = np.cumsum(phi0 * cfg.grid_step), np.cumsum(phi1 * cfg.grid_step)
     lo, hi, off = cfg.ms_min, cfg.ms_max, cfg.switch_offset
-    window = [cff(pddf, m_s, cfg) for m_s in range(lo, hi + 1)]
+    window = [cff(pddf, m_s) for m_s in range(lo, hi + 1)]
     assert same_bits(window, cum0[lo - off: hi - off + 1] + cum1[lo + off - 1: hi + off])
     assert same_bits(capacity_factor(pddf), cum1[-1])
 
 
-@pytest.mark.parametrize("resolution", range(1, 17))
-def test_validated_pair_builds_on_every_small_grid(resolution):
-    # the window needs R in 8Z, but a validated pair accepts any R >= 1
+@pytest.mark.parametrize("multiple", range(1, 17))
+def test_validated_pair_builds_on_every_small_grid(multiple):
+    # a pair lives on a thermostat grid, so R = 8 * multiple, up to 128; the
+    # deadband keeps the grid step near 0.1
+    resolution = 8 * multiple
+    cfg = ThermostatConfig(deadband=0.05 * resolution, resolution=resolution)
     phi0 = np.arange(1.0, resolution + 2)
     phi1 = np.arange(resolution + 1.0, 0.0, -1.0)
-    pddf = PowerDensityPair(phi0, phi1, 0.1)
-    cum0, cum1 = np.cumsum(phi0 * 0.1), np.cumsum(phi1 * 0.1)
+    pddf = PowerDensityPair(phi0, phi1, cfg)
+    cum0, cum1 = np.cumsum(phi0 * cfg.grid_step), np.cumsum(phi1 * cfg.grid_step)
     assert same_bits(capacity_factor(pddf), cum1[-1])
-    if resolution % 8 == 0:
-        cfg = ThermostatConfig(resolution=resolution)
-        lo, hi, off = cfg.ms_min, cfg.ms_max, cfg.switch_offset
-        window = [cff(pddf, m_s, cfg) for m_s in range(lo, hi + 1)]
-        assert same_bits(window, cum0[lo - off: hi - off + 1] + cum1[lo + off - 1: hi + off])
+    lo, hi, off = cfg.ms_min, cfg.ms_max, cfg.switch_offset
+    window = [cff(pddf, m_s) for m_s in range(lo, hi + 1)]
+    assert same_bits(window, cum0[lo - off: hi - off + 1] + cum1[lo + off - 1: hi + off])
 
 
 @SETTINGS
