@@ -200,10 +200,9 @@ def select_setpoint(pddf: PowerDensityPair, phi_target: float) -> ControlDecisio
     run_lo = lo + int(w.searchsorted(best_lo, "left"))
     run_hi = lo + int(w.searchsorted(best_hi, "right")) - 1
 
-    cfg = pddf.cfg
-    center = cfg.resolution // 2
+    center = pddf.cfg.resolution // 2
     ms_star = min(max(center, run_lo), run_hi)
-    u = cfg.deadband * (2.0 * ms_star / cfg.resolution - 1.0)
+    u = pddf.cfg.deadband * (2.0 * ms_star / pddf.cfg.resolution - 1.0)
     return ControlDecision(lo, hi, region.phi_min, region.phi_max, ms_star, u,
                            float(phi_target), float(w[ms_star - lo]))
 

@@ -61,10 +61,13 @@ class ParameterDist:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if not all(map(math.isfinite, (self.value, self.low, self.high, self.mean, self.sd))):
             raise ValueError(f"{self.kind} distribution parameters must be finite")
-        if self.kind == "uniform" and not self.low <= self.high:
-            raise ValueError(f"uniform needs low <= high, got [{self.low}, {self.high}]")
+        # high - low is >= 0 exactly when low <= high, and inf when the range overflows
+        if self.kind == "uniform" and not 0.0 <= self.high - self.low < math.inf:
+            raise ValueError(f"uniform needs 0 <= high - low < inf, got [{self.low}, {self.high}]")
         if self.kind == "lognormal" and (self.mean <= 0.0 or self.sd < 0.0):
             raise ValueError("lognormal needs mean > 0 and sd >= 0")
+        if self.kind == "lognormal" and self.sd > 0.0 and not math.isfinite(sum(self._mu_sigma())):
+            raise ValueError(f"lognormal mean {self.mean} and sd {self.sd} give a non-finite mu or sigma")
 
     @classmethod
     def constant(cls, value: float) -> "ParameterDist":
@@ -85,11 +88,18 @@ class ParameterDist:
             return rng.uniform(self.low, self.high, size)
         if self.sd == 0.0:
             return np.full(size, self.mean)
+        return rng.lognormal(*self._mu_sigma(), size)
+
+    def _mu_sigma(self) -> tuple[float, float]:
+        """mu and sigma of log X for this mean and sd > 0; nan where a step fails."""
         m2 = self.mean * self.mean
         v = self.sd * self.sd
-        mu = math.log(m2 / math.sqrt(v + m2))
-        sigma = math.sqrt(math.log(1.0 + v / m2))
-        return rng.lognormal(mu, sigma, size)
+        try:
+            mu = math.log(m2 / math.sqrt(v + m2))
+            sigma = math.sqrt(math.log(1.0 + v / m2))
+        except (ValueError, ZeroDivisionError):  # log(0), or 0/0 once m2 underflows
+            return math.nan, math.nan
+        return mu, sigma
 
 
 @dataclass(frozen=True)

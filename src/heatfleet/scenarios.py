@@ -61,6 +61,8 @@ class TurbineModel:
             raise ValueError(f"rated_power must be > 0, got {self.rated_power!r}")
         if self.turbine_count < 0:
             raise ValueError(f"turbine_count must be >= 0, got {self.turbine_count}")
+        if not math.isfinite(self.rated_power * self.turbine_count):
+            raise ValueError(f"rated_power * turbine_count must be finite, got {self.rated_power}")
 
 
 def turbine_power(wind_speed, model: TurbineModel):

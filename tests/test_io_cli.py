@@ -152,6 +152,20 @@ INVALID_AT_LOAD = [
     ("population", {"population": {"thermostat": {"resolution": 8}}}),
     ("population", {"population": {"initial_outdoor_temp": 4.0}}),
     ("wind", {"wind": {"controlled": False}}),
+    # finite values whose derived quantities overflow: high - low, the lognormal's
+    # mu and sigma, the farm's rated output. Each failed midway with exit 1, or
+    # was blamed on the deadband after 100 resampling rounds
+    ("population.capacitance_kwh_per_c", {"population": {"capacitance_kwh_per_c": {
+        "dist": "uniform", "low": -1e308, "high": 1e308}}}),
+    ("population.capacitance_kwh_per_c", {"population": {"capacitance_kwh_per_c": {
+        "dist": "lognormal", "mean": 2.5, "sd": 1e200}}}),
+    ("population.capacitance_kwh_per_c", {"population": {"capacitance_kwh_per_c": {
+        "dist": "lognormal", "mean": 1e-200, "sd": 1e-200}}}),
+    ("population.capacitance_kwh_per_c", {"population": {"capacitance_kwh_per_c": {
+        "dist": "lognormal", "mean": 1e200, "sd": 1e200}}}),
+    ("population.capacitance_kwh_per_c", {"population": {"capacitance_kwh_per_c": {
+        "dist": "lognormal", "mean": 1e-100, "sd": 1e100}}}),  # mu finite, sigma inf
+    ("wind.turbine", {"wind": {"turbine": {"rated_power_kw": 1e308, "count": 2}}}),
 ]
 
 # the domain fields that the run sets: they have no JSON key
