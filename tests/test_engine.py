@@ -3,8 +3,10 @@
 import dataclasses
 import inspect
 import math
+import re
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -456,3 +458,13 @@ def test_package_exports_exactly_the_readme_library_names():
     public = {name for name, value in vars(heatfleet).items()
               if not name.startswith("_") and not inspect.ismodule(value)}
     assert public == README_LIBRARY_NAMES
+
+
+def test_readme_python_blocks_run(capsys):
+    # a signature change that the README's examples miss fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    assert capsys.readouterr().out.endswith("\n450 -0.1 0.41\n")
