@@ -76,7 +76,7 @@ class PowerDensityPair:
     def _from_valid(cls, densities: np.ndarray, cfg: ThermostatConfig) -> "PowerDensityPair":
         """Construct without re-validating. The caller guarantees every
         invariant __post_init__ checks: densities is the finite, nonnegative 1-d
-        float array [phi0 | phi1] with R + 1 entries in each half."""
+        float array [phi0 | phi1] with cfg.resolution + 1 entries in each half."""
         pair = object.__new__(cls)
         object.__setattr__(pair, "cfg", cfg)
         pair._set_densities(densities)

@@ -67,7 +67,7 @@ class ParameterDist:
         if self.kind == "lognormal" and (self.mean <= 0.0 or self.sd < 0.0):
             raise ValueError("lognormal needs mean > 0 and sd >= 0")
         if self.kind == "lognormal" and self.sd > 0.0 and not math.isfinite(sum(self._mu_sigma())):
-            raise ValueError(f"lognormal mean {self.mean} and sd {self.sd} give a non-finite mu or sigma")
+            raise ValueError(f"lognormal mu or sigma not finite for mean {self.mean}, sd {self.sd}")
 
     @classmethod
     def constant(cls, value: float) -> "ParameterDist":
