@@ -71,12 +71,7 @@ JSON_NAMES = {
                        "temp_mean": "temp_mean_c", "temp_sd": "temp_sd_c",
                        "temp_reversion_per_hour": "temp_reversion_per_h"},
     TrackingScenario: {"outdoor_temp": "outdoor_temp_c"},
-    WindScenario: {"controlled": None},
 }
-
-# the parameters of each distribution kind: a distribution object holds
-# "dist" and exactly these keys
-DIST_KEYS = {"constant": ("value",), "uniform": ("low", "high"), "lognormal": ("mean", "sd")}
 
 
 @dataclass(frozen=True)
@@ -142,20 +137,6 @@ def _pairs(value, path: str) -> tuple[tuple[float, float], ...]:
     return tuple(pairs)
 
 
-def _dist(value, path: str) -> ParameterDist:
-    """A distribution object: "dist" plus exactly the keys of its kind."""
-    kind = value.get("dist") if isinstance(value, dict) else None
-    keys = DIST_KEYS.get(kind) if isinstance(kind, str) else None
-    if keys is None:
-        raise ConfigError(f"{path}.dist: must be one of {'|'.join(DIST_KEYS)}, got {kind!r}")
-    foreign = value.keys() - {"dist", *keys}
-    if foreign:
-        raise ConfigError(f"{path}: unknown keys {sorted(foreign)} for dist {kind!r}")
-    for key in keys:
-        _number(value.get(key), f"{path}.{key}")
-    return _decode(ParameterDist, value, path)
-
-
 def _decoder(tp):
     """The function that checks and converts a JSON value for a field of type tp."""
     if type(None) in typing.get_args(tp):  # X | None: null never reaches a decoder
@@ -168,8 +149,6 @@ def _decoder(tp):
         return _instance(str, "a string")
     if tp is bool:
         return _instance(bool, "true or false")
-    if tp is ParameterDist:
-        return _dist
     if tp == tuple[tuple[float, float], ...]:
         return _pairs
     if dataclasses.is_dataclass(tp):
@@ -212,7 +191,7 @@ def _decode(cls, raw, path: str):
 def _encode(value):
     """The JSON form of a config value: the inverse of _decode."""
     if isinstance(value, ParameterDist):
-        return {"dist": value.kind, **{key: getattr(value, key) for key in DIST_KEYS[value.kind]}}
+        return {"dist": value.kind, **{k: getattr(value, k) for k in value.PARAMS[value.kind]}}
     if dataclasses.is_dataclass(value):
         return {key: _encode(getattr(value, name))
                 for key, (name, _) in _fields(type(value)).items()}

@@ -49,17 +49,24 @@ class ParameterDist:
     heterogeneity convention.
     """
 
-    kind: str
-    value: float = 0.0
-    low: float = 0.0
-    high: float = 0.0
-    mean: float = 0.0
-    sd: float = 0.0
+    # the parameters each kind takes: a distribution sets exactly these, the rest stay None
+    PARAMS = {"constant": ("value",), "uniform": ("low", "high"), "lognormal": ("mean", "sd")}
+
+    kind: str | None = None
+    value: float | None = None
+    low: float | None = None
+    high: float | None = None
+    mean: float | None = None
+    sd: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "uniform", "lognormal"):
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if not all(map(math.isfinite, (self.value, self.low, self.high, self.mean, self.sd))):
+        if self.kind not in self.PARAMS:
+            raise ValueError(f"kind must be one of {'|'.join(self.PARAMS)}, got {self.kind!r}")
+        given = tuple(name for name, v in vars(self).items() if name != "kind" and v is not None)
+        if given != self.PARAMS[self.kind]:
+            raise ValueError(f"{self.kind} takes exactly {', '.join(self.PARAMS[self.kind])}, "
+                             f"got {', '.join(given) or 'none'}")
+        if not all(math.isfinite(getattr(self, name)) for name in given):
             raise ValueError(f"{self.kind} distribution parameters must be finite")
         # high - low is >= 0 exactly when low <= high, and inf when the range overflows
         if self.kind == "uniform" and not 0.0 <= self.high - self.low < math.inf:

@@ -53,9 +53,10 @@ def write_wind_outputs(config: RunConfig, out_dir: Path | None = None) -> Path:
     spec = replace(config.population, thermostat=config.thermostat, seed=config.seed,
                    initial_outdoor_temp=outdoor)
     sink = _diagnostic_sink(config, out, "wind_controlled")
-    arms = {"controlled": run_simulation(spec, replace(wind, controlled=True), config.clock,
-                                         diagnostic_sink=sink),
-            "uncontrolled": run_simulation(spec, replace(wind, controlled=False), config.clock)}
+    # a burn-in that outlasts the run: the uncontrolled arm never requests a target
+    uncontrolled = replace(wind, burn_in=max(wind.burn_in, config.clock.horizon))
+    arms = {"controlled": run_simulation(spec, wind, config.clock, diagnostic_sink=sink),
+            "uncontrolled": run_simulation(spec, uncontrolled, config.clock)}
     for label, series in arms.items():
         seriesio.write_series(out / f"wind_{label}_series.csv", series)
         if len(series) >= 2:

@@ -310,9 +310,7 @@ class WindScenario:
 
     The weather is read from series_file when it is set, and drawn from the
     synthetic generator otherwise. The controller reads the exogenous
-    arrays one step ahead (perfect one-step foreknowledge). With
-    controlled=False the policy never requests a target, leaving every
-    set-point offset at zero.
+    arrays one step ahead (perfect one-step foreknowledge).
     """
 
     turbine: TurbineModel = TurbineModel()
@@ -321,7 +319,6 @@ class WindScenario:
     series_file: str | None = None
     burn_in: int = 100
     start_hour: float = 0.0
-    controlled: bool = True
 
     def __post_init__(self) -> None:
         if self.burn_in < 2:
@@ -351,7 +348,7 @@ class WindScenario:
 
     def phi_target(self, sim, phi_now: float, region) -> float | None:
         k = sim.k
-        if not self.controlled or k < self.burn_in:
+        if k < self.burn_in:
             return None
         # burn_in >= 2, so the total loads of intervals k - 1 and k - 2 are recorded
         load_kw = sim.columns["total_kw"]

@@ -8,7 +8,6 @@ from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from heatfleet import seriesio
@@ -131,15 +130,3 @@ def test_no_thread_outlives_a_wind_bundle(tmp_path):
     out = write_wind_outputs(config_from_dict(SMALL_WIND), tmp_path / "out")
     assert threading.enumerate() == before
     assert len(list((out / "diagnostics" / "wind_controlled").iterdir())) == 40
-
-
-def test_wind_controlled_arm_is_controlled_whatever_the_config_says(tmp_path):
-    config = config_from_dict(dict(SMALL_WIND, diagnostics=False))
-    forced = replace(config, wind=replace(config.wind, controlled=False))
-    default = write_wind_outputs(config, tmp_path / "default")
-    out = write_wind_outputs(forced, tmp_path / "forced")
-    controlled = seriesio.read_series(out / "wind_controlled_series.csv")
-    uncontrolled = seriesio.read_series(out / "wind_uncontrolled_series.csv")
-    assert not np.array_equal(controlled["u_degC"], uncontrolled["u_degC"])
-    assert ((out / "wind_controlled_series.csv").read_bytes()
-            == (default / "wind_controlled_series.csv").read_bytes())

@@ -92,6 +92,18 @@ class TestParameterDist:
         with pytest.raises(ValueError):
             ParameterDist.lognormal(-1.0, 0.5)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(kind="uniform", low=1.0, high=2.0, sd=5.0),
+         "uniform takes exactly low, high, got low, high, sd"),
+        (dict(kind="lognormal", mean=2.0), "lognormal takes exactly mean, sd, got mean"),
+        (dict(kind="constant"), "constant takes exactly value, got none"),
+        (dict(value=2.0), "kind must be one of constant|uniform|lognormal, got None"),
+    ])
+    def test_exactly_its_kinds_parameters(self, kwargs, message):
+        # a missing parameter used to read 0.0 and a foreign one to be ignored
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ParameterDist(**kwargs)
+
     @pytest.mark.parametrize("kind, args", [
         ("constant", (math.nan,)),
         ("constant", (math.inf,)),

@@ -166,11 +166,17 @@ INVALID_AT_LOAD = [
     ("population.capacitance_kwh_per_c", {"population": {"capacitance_kwh_per_c": {
         "dist": "lognormal", "mean": 1e-100, "sd": 1e100}}}),  # mu finite, sigma inf
     ("wind.turbine", {"wind": {"turbine": {"rated_power_kw": 1e308, "count": 2}}}),
+    # a distribution checks its own kind and parameters, as a ParameterDist built in code does
+    ("population.cop", {"population": {"cop": {"dist": "beta", "value": 3.5}}}),
+    ("population.cop", {"population": {"cop": {"value": 3.5}}}),
+    ("population.rated_power_kw", {"population": {"rated_power_kw": {
+        "dist": "uniform", "low": 3}}}),
+    ("population.rated_power_kw", {"population": {"rated_power_kw": {
+        "dist": "uniform", "low": 3, "high": None}}}),
 ]
 
 # the domain fields that the run sets: they have no JSON key
-RUN_SET_KEYS = {"population": ["seed", "thermostat", "initial_outdoor_temp"],
-                "wind": ["controlled"]}
+RUN_SET_KEYS = {"population": ["seed", "thermostat", "initial_outdoor_temp"]}
 
 
 @pytest.mark.parametrize("path, data", INVALID_AT_LOAD)

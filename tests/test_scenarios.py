@@ -1,6 +1,5 @@
 """Scenario model tests: turbine curve, nominal load, regulation target, gradients."""
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -238,9 +237,6 @@ def test_wind_policy_reads_the_forecast_at_k_and_the_two_loads_before():
     expected = wind_target(40.0, 1400.0, 5000.0, 3000.0, 4000.0)
     assert scenario.phi_target(sim, 0.5, None) == expected
     sim.k = 1
-    assert scenario.phi_target(sim, 0.5, None) is None
-    sim.k = 4
-    scenario = replace(scenario, controlled=False)
     assert scenario.phi_target(sim, 0.5, None) is None
 
 
