@@ -63,6 +63,13 @@ class TurbineModel:
             raise ValueError(f"turbine_count must be >= 0, got {self.turbine_count}")
         if not math.isfinite(self.rated_power * self.turbine_count):
             raise ValueError(f"rated_power * turbine_count must be finite, got {self.rated_power}")
+        try:  # the largest product that the cubic rise of turbine_power forms
+            rise = self.rated_power * (self.rated_speed**3 - self.cut_in**3)
+        except OverflowError:  # rated_speed**3 beyond the float range
+            rise = math.inf
+        if not math.isfinite(rise):
+            raise ValueError("rated_power * (rated_speed**3 - cut_in**3) must be finite, got "
+                             f"{self.rated_power}, {self.rated_speed}, {self.cut_in}")
 
 
 def turbine_power(wind_speed, model: TurbineModel):

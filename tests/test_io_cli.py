@@ -173,6 +173,10 @@ INVALID_AT_LOAD = [
         "dist": "uniform", "low": 3}}}),
     ("population.rated_power_kw", {"population": {"rated_power_kw": {
         "dist": "uniform", "low": 3, "high": None}}}),
+    # the turbine curve's cubic rise overflows: an uncaught OverflowError, then
+    # "wind_kw must be finite", each with exit 1 midway
+    ("wind.turbine", {"wind": {"turbine": {"rated_mps": 1e200, "cut_out_mps": 1e201}}}),
+    ("wind.turbine", {"wind": {"turbine": {"rated_power_kw": 1e308, "count": 1}}}),
 ]
 
 # the domain fields that the run sets: they have no JSON key
