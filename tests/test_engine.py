@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heatfleet import aggregator
 from heatfleet.aggregator import PowerDensityPair, build_pddf_from_arrays, capacity_factor
 from heatfleet.engine import (
     ParameterDist,
@@ -154,6 +155,14 @@ class TestGeneratePopulation:
         # every unit can climb past the top of the measurement range at 4 degC
         assert (4.0 + gain > 21.0).all()
 
+    def test_lognormal_without_spread_is_its_mean(self):
+        # sd = 0 draws nothing, so the fleet is the constant fleet bit for bit
+        fleets = [generate_population(PopulationSpec(count=300, seed=8, capacitance=dist))
+                  for dist in (ParameterDist.lognormal(2.5, 0.0), ParameterDist.constant(2.5))]
+        for name in ("capacitance", "resistance", "rated_power", "cop",
+                     "indoor_temp", "machine_state"):
+            assert np.array_equal(getattr(fleets[0], name), getattr(fleets[1], name)), name
+
     def test_impossible_distribution_rejected(self):
         spec = degenerate_spec(rated_power=ParameterDist.constant(0.5))
         with pytest.raises(ConfigError, match="resampling"):
@@ -223,6 +232,23 @@ class TestRunInterval:
         spec = degenerate_spec(count=20, seed=33)
         with pytest.raises(EngineError, match="interval 3"):
             run_simulation(spec, ExplodingScenario(), SimulationClock(1.0, 10))
+
+    def test_misprediction_fails_naming_the_interval(self, monkeypatch):
+        select = aggregator.select_setpoint
+        calls = []
+
+        def mispredict_from_interval_3(pddf, target):
+            calls.append(None)
+            decision = select(pddf, target)
+            if len(calls) <= 3:
+                return decision
+            return decision._replace(phi_predicted=decision.phi_predicted + 1e-6)
+
+        monkeypatch.setattr(aggregator, "select_setpoint", mispredict_from_interval_3)
+        with pytest.raises(EngineError, match=r"^interval 3: realized capacity factor .* "
+                                              r"deviates from prediction"):
+            run_simulation(degenerate_spec(count=20, seed=33), TrackingScenario(burn_in=0),
+                           SimulationClock(1.0, 10))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_temperature_fails_at_the_thermal_step(self, bad):

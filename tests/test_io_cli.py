@@ -4,6 +4,7 @@ import dataclasses
 import json
 import re
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +113,11 @@ class TestLoadConfig:
         cfg = config_from_dict(SMALL_WIND)
         assert config_from_dict(cfg.to_dict()) == cfg
 
+    def test_readme_example_is_the_resolved_wind_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"^```json\n(.*?)^```$", readme, re.DOTALL | re.MULTILINE)
+        assert json.loads(block) == config_from_dict({"scenario": "wind"}).to_dict()
+
     def test_null_stands_for_the_default(self):
         nulls = {"scenario": "wind", "seed": None, "clock": {"horizon": None},
                  "population": {"count": None, "cop": None}, "tracking": None,
@@ -177,6 +183,15 @@ INVALID_AT_LOAD = [
     # "wind_kw must be finite", each with exit 1 midway
     ("wind.turbine", {"wind": {"turbine": {"rated_mps": 1e200, "cut_out_mps": 1e201}}}),
     ("wind.turbine", {"wind": {"turbine": {"rated_power_kw": 1e308, "count": 1}}}),
+    # the value's type, shape or range
+    ("output_dir", {"output_dir": 5}),
+    ("diagnostics", {"diagnostics": "yes"}),
+    ("clock", {"clock": 5}),
+    ("wind.nominal.anchors", {"wind": {"nominal": {"anchors": {"0": 2500}}}}),
+    ("wind.nominal.anchors[1]", {"wind": {"nominal": {"anchors": [[0, 2500], [12, 3500, 1]]}}}),
+    ("wind.nominal", {"wind": {"nominal": {"anchors": [[0, 2500], [24, 3500]]}}}),
+    ("wind.nominal", {"wind": {"nominal": {"off_peak_kw": 0}}}),
+    ("wind.turbine", {"wind": {"turbine": {"count": -1}}}),
 ]
 
 # the domain fields that the run sets: they have no JSON key
@@ -192,6 +207,15 @@ def test_invalid_value_rejected_at_load(tmp_path, capsys, path, data):
     assert main(["gen-wind", "--config", str(config), "--out", str(tmp_path / "g")]) == 2
     assert f"config error: {path}: " in capsys.readouterr().err
     assert not (tmp_path / "w").exists() and not (tmp_path / "g").exists()
+
+
+def test_config_root_must_be_an_object(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="^config root: expected a JSON object"):
+        config_from_dict([])
+    config = write_config(tmp_path, [{"scenario": "wind"}])
+    assert main(["wind", "--config", str(config), "--out", str(tmp_path / "w")]) == 2
+    assert f"config error: {config}: config root must be a JSON object" in capsys.readouterr().err
+    assert not (tmp_path / "w").exists()
 
 
 def test_run_set_fields_are_unknown_keys():
@@ -263,6 +287,26 @@ class TestIngestSeries:
         rows = ["0,-1,8", "1,10,8"]
         with pytest.raises(SeriesError, match=">= 0"):
             ingest_series(self.make_file(tmp_path, rows), SimulationClock(1.0, 1))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", ": empty file"),
+        ("timestamp,wind_speed_mps,outdoor_temp_c\n", ": no data rows"),
+        ("timestamp,wind_speed_mps,outdoor_temp_c\n0,10,8\n1,10\n", ":3: expected 3 fields, got 2"),
+        ("timestamp,wind_speed_mps,outdoor_temp_c\n0.5,10,8\n1,10,8\n",
+         ": first timestamp 0.5 is after the grid start 0"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, text, message):
+        path = tmp_path / "series.csv"
+        path.write_text(text)
+        with pytest.raises(SeriesError, match=re.escape(f"{path}{message}")):
+            ingest_series(path, SimulationClock(1.0, 1))
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        rows = ["0,4.0,8.0", "1,6.0,9.0"]
+        plain = ingest_series(self.make_file(tmp_path, rows), SimulationClock(1.0, 1))
+        blank = ingest_series(self.make_file(tmp_path, [rows[0], "", rows[1], ""]),
+                              SimulationClock(1.0, 1))
+        assert np.array_equal(plain, blank)
 
     def test_zero_order_hold_resampling(self, tmp_path):
         # samples every 2 minutes, grid every minute: values hold between rows
@@ -373,6 +417,18 @@ class TestCli:
         out = tmp_path / "g"
         assert main(["gradient", str(series_path), "--out", str(out)]) == 3
         assert f"series error: {series_path}:7: non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, message", [
+        (["k,P_H_kw", "0,5.0", "1,6.0"], "no P_L_kw column"),
+        (["k,P_L_kw", "0,5.0"], "need at least two rows to difference"),
+    ])
+    def test_gradient_of_unusable_series_exits_3(self, tmp_path, capsys, rows, message):
+        series_path = tmp_path / "series.csv"
+        series_path.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "g"
+        assert main(["gradient", str(series_path), "--out", str(out)]) == 3
+        assert f"series error: {series_path}: {message}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("bins", [100, 0, -3])

@@ -1,6 +1,7 @@
 """Thermostat grid tests, including an exact-rational oracle for the deadband rule."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -131,6 +132,9 @@ def test_config_invariants():
         ThermostatConfig(resolution=4)
     with pytest.raises(ValueError):
         ThermostatConfig(deadband=0.0)
+    for bad in (dict(setpoint=math.nan), dict(setpoint=-math.inf), dict(deadband=math.inf)):
+        with pytest.raises(ValueError, match="setpoint and deadband must be finite"):
+            ThermostatConfig(**bad)
     with pytest.raises(ValueError):  # grid step 2 * deadband / R underflows to 0
         ThermostatConfig(deadband=5e-324)
     cfg = ThermostatConfig(setpoint=21.0, deadband=2.0, resolution=64)
