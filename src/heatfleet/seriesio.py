@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -160,24 +161,31 @@ def write_histogram(path, bin_centers, heights) -> None:
                [_floats(bin_centers), _floats(heights)])
 
 
+# k and the ControlDecision fields, each with its type code for struct and numpy
+_DUMP_SCALARS = [(name, "q" if name == "k" or name.startswith("ms_") else "d")
+                 for name in ("k", *ControlDecision._fields)]
+_pack_dump_scalars = struct.Struct("=" + "".join(code for _, code in _DUMP_SCALARS)).pack
+
+
 @functools.lru_cache(maxsize=8)
-def _dump_dtype(size: int) -> np.dtype:
-    """The PDDF dump record on a grid of `size` points: k, the ControlDecision
-    fields in their order (int64 for the indices), then phi0 and phi1."""
-    return np.dtype([("k", np.int64),
-                     *((name, np.int64 if name.startswith("ms_") else np.float64)
-                       for name in ControlDecision._fields),
-                     ("phi0", np.float64, (size,)), ("phi1", np.float64, (size,))])
+def _dump_header(size: int) -> bytes:
+    """The .npy header that np.save writes before a dump record on a grid of `size`
+    points: the scalars as int64 ("q") or float64 ("d"), then phi0 and phi1."""
+    record = np.zeros((), [*_DUMP_SCALARS, ("phi0", "d", (size,)), ("phi1", "d", (size,))])
+    buffer = io.BytesIO()
+    np.save(buffer, record)
+    return buffer.getvalue()[:-record.nbytes]
 
 
 def write_pddf_dump(path, k: int, pddf, decision) -> None:
     """Per-interval diagnostic dump of the densities and the decision: one 0-d
-    structured record in .npy format, every value stored bit for bit, written
+    structured record, exactly the .npy bytes np.save writes for it, on disk
     before this returns. Read it back with ``np.load(path)["phi0"]`` and so on."""
-    record = np.array((k, *decision, pddf.phi0, pddf.phi1), _dump_dtype(pddf.phi0.size))
-    buffer = io.BytesIO()
-    np.save(buffer, record)
-    _write_bytes(Path(path), buffer.getvalue())
+    phi0, phi1 = pddf.phi0, pddf.phi1
+    if phi0.size != phi1.size:
+        raise ValueError(f"phi0 and phi1 differ in size: {phi0.size} and {phi1.size}")
+    _write_bytes(Path(path), b"".join((_dump_header(phi0.size), _pack_dump_scalars(k, *decision),
+                                       phi0.tobytes(), phi1.tobytes())))
 
 
 def write_manifest(path, config, version: str) -> None:

@@ -48,14 +48,17 @@ class FailsAtInterval3(TrackingScenario):
 @pytest.fixture
 def slow_writes(monkeypatch):
     """Delay every Path.write_bytes, so that a runner that returned before its
-    dump writes finished would leave dumps missing."""
+    dump writes finished would leave dumps missing. Returns the delayed paths."""
     write_bytes = Path.write_bytes
+    delayed = []
 
     def slow(path, data):
+        delayed.append(path)
         time.sleep(0.03)
         return write_bytes(path, data)
 
     monkeypatch.setattr(Path, "write_bytes", slow)
+    return delayed
 
 
 @pytest.fixture
@@ -108,6 +111,10 @@ def test_every_dump_is_on_disk_when_the_runner_returns(tmp_path, slow_writes,
     assert sorted(p.name for p in (out / "diagnostics" / "tracking").iterdir()) == [
         f"pddf_k{k:06d}.npy" for k in range(12)]
     assert [k for _, k, _, _ in recorded_dumps] == list(range(12))
+    # at least one delayed write per dump (the first is retried once its directory
+    # exists), so the check above was not vacuous
+    assert sorted({p.name for p in slow_writes if p.suffix == ".npy"}) == [
+        f"pddf_k{k:06d}.npy" for k in range(12)]
 
 
 def test_dumps_before_a_failed_interval_are_on_disk_when_it_raises(

@@ -9,6 +9,7 @@ because the oracle takes ``math.log`` where the kernel takes ``np.log``.
 """
 
 import csv
+import io
 import math
 from pathlib import Path
 
@@ -374,6 +375,47 @@ def test_pddf_dump_creates_its_directory(tmp_path):
     k, got, densities = read_dump(path)
     assert (k, got) == (3, decision) and math.copysign(1.0, got.u) == -1.0
     assert same_bits(densities.phi0, pair.phi0) and same_bits(densities.phi1, pair.phi1)
+
+
+def npy_oracle(k, decision, phi0, phi1):
+    """The bytes np.save writes for the dump record built field by field, the
+    writer's former construction. The dtype is spelled out here from DUMP_FIELDS,
+    not taken from the writer, so a wrong field type cannot agree with itself."""
+    dtype = np.dtype([*DUMP_FIELDS.items(),
+                      ("phi0", np.float64, (phi0.size,)), ("phi1", np.float64, (phi0.size,))])
+    buffer = io.BytesIO()
+    np.save(buffer, np.array((k, *decision, phi0, phi1), dtype))
+    return buffer.getvalue()
+
+
+# each ControlDecision field as a Python number or as the numpy scalar the engine may hold
+indices = st.integers(0, 10**6).flatmap(lambda i: st.sampled_from([i, np.int64(i)]))
+numpy_or_python_reals = reals.flatmap(lambda x: st.sampled_from([x, np.float64(x)]))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_pddf_dump_bytes_match_np_save_oracle(dump_dir, data):
+    size = data.draw(st.one_of(st.integers(1, 8).map(lambda k: 8 * k), st.just(1000))) + 1
+    phi0, phi1 = (data.draw(hnp.arrays(np.float64, size, elements=densities,
+                                       fill=st.just(0.0))) for _ in range(2))
+    decision = ControlDecision(
+        ms_min=data.draw(indices), ms_max=data.draw(indices),
+        phi_min=data.draw(numpy_or_python_reals), phi_max=data.draw(numpy_or_python_reals),
+        ms_star=data.draw(indices), u=data.draw(numpy_or_python_reals),
+        phi_target=data.draw(numpy_or_python_reals),
+        phi_predicted=data.draw(numpy_or_python_reals))
+    k = data.draw(indices)
+    write_pddf_dump(dump_dir / "dump.npy", k, DensityPair(phi0, phi1), decision)
+    assert (dump_dir / "dump.npy").read_bytes() == npy_oracle(k, decision, phi0, phi1)
+
+
+def test_pddf_dump_with_mismatched_halves_raises_before_writing(tmp_path):
+    pair = DensityPair(np.zeros(9), np.zeros(17))
+    path = tmp_path / "a" / "dump.npy"
+    with pytest.raises(ValueError, match="differ in size: 9 and 17"):
+        write_pddf_dump(path, 0, pair, ControlDecision(1, 2, 0.25, 0.75, 1, 0.0, 0.5, 0.5))
+    assert not (tmp_path / "a").exists()
 
 
 SERIES_COLUMNS = ("nominal_kw", "wind_kw", "heatpump_kw", "total_kw", "phi", "phi_target",
