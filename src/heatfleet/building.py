@@ -58,17 +58,15 @@ def duty_cycle(capacitance, resistance, rated_power, cop, cfg: ThermostatConfig,
     """
     lo = cfg.setpoint - cfg.deadband / 2.0
     hi = cfg.setpoint + cfg.deadband / 2.0
-    duty = np.empty(capacitance.size)
     if outdoor_temp >= lo:
         # off-state equilibrium already inside or above the band: no heating
-        duty[:] = 0.0
-        return duty
+        return np.zeros(capacitance.size)
     tau = capacitance * resistance
     eq_on = outdoor_temp + cop * rated_power * resistance
-    always_on = eq_on <= hi
-    duty[always_on] = 1.0
-    cyc = ~always_on
-    t_on = tau[cyc] * np.log((eq_on[cyc] - lo) / (eq_on[cyc] - hi))
-    t_off = tau[cyc] * np.log((hi - outdoor_temp) / (lo - outdoor_temp))
-    duty[cyc] = t_on / (t_on + t_off)
+    # every unit takes the cycling formula; an always-on unit's inf or nan is overwritten
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_off = tau * np.log((hi - outdoor_temp) / (lo - outdoor_temp))
+        duty = tau * np.log((eq_on - lo) / (eq_on - hi))
+        duty /= duty + t_off
+    duty[eq_on <= hi] = 1.0
     return duty

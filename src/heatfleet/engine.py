@@ -187,22 +187,23 @@ def generate_population(spec: PopulationSpec) -> Population:
         gain_ok = (gain > cfg.deadband) & (gain > required_lift)
         return ~(finite & positive & gain_ok)
 
-    bad = invalid(cap, res, power, cop)
+    # only the failed units are re-drawn and re-checked; ascending indices
+    # take the draws in the order a boolean mask would
+    bad = np.flatnonzero(invalid(cap, res, power, cop))
     rounds = 0
-    while bad.any():
+    while bad.size:
         rounds += 1
         if rounds > _RESAMPLE_ROUNDS:
             raise ConfigError(
-                f"population: {int(bad.sum())} parameter draws still violate the unit "
+                f"population: {bad.size} parameter draws still violate the unit "
                 f"invariants after {_RESAMPLE_ROUNDS} resampling rounds; distributions "
                 "are incompatible with the thermostat deadband"
             )
-        k = int(bad.sum())
-        cap[bad] = spec.capacitance.sample(rng, k)
-        res[bad] = spec.resistance.sample(rng, k)
-        power[bad] = spec.rated_power.sample(rng, k)
-        cop[bad] = spec.cop.sample(rng, k)
-        bad = invalid(cap, res, power, cop)
+        cap[bad] = spec.capacitance.sample(rng, bad.size)
+        res[bad] = spec.resistance.sample(rng, bad.size)
+        power[bad] = spec.rated_power.sample(rng, bad.size)
+        cop[bad] = spec.cop.sample(rng, bad.size)
+        bad = bad[invalid(cap[bad], res[bad], power[bad], cop[bad])]
 
     theta0 = rng.uniform(cfg.setpoint - cfg.deadband / 2.0,
                          cfg.setpoint + cfg.deadband / 2.0, n)

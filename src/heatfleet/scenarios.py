@@ -121,6 +121,10 @@ class NominalLoadModel:
             raise ValueError("profile values must be > 0")
         if self.off_peak_level <= 0.0:
             raise ValueError(f"off_peak_level must be > 0, got {self.off_peak_level!r}")
+        # a normal draw beyond 40 sd has probability below 1e-300: no seed finds one
+        if not math.isfinite(max(v for _, v in self.anchors) + 40.0 * self.fluctuation_sd):
+            raise ValueError("the largest anchor plus 40 fluctuation sd must be finite, got "
+                             f"{max(v for _, v in self.anchors)!r} and {self.fluctuation_sd!r}")
 
     @property
     def fluctuation_sd(self) -> float:
@@ -202,14 +206,14 @@ def _ou_series(rng: np.random.Generator, n: int, mean: float, sd: float,
     """Exact-discretization Ornstein-Uhlenbeck path of n samples."""
     decay = math.exp(-reversion_per_hour * dt_hours)
     innovation_sd = sd * math.sqrt(1.0 - decay * decay)
-    draws = rng.standard_normal(n)
-    out = np.empty(n)
+    # Python floats take the same IEEE double steps as numpy scalars, at less cost
+    draws = rng.standard_normal(n).tolist()
     x = mean + sd * draws[0]
-    out[0] = x
-    for i in range(1, n):
-        x = mean + (x - mean) * decay + innovation_sd * draws[i]
-        out[i] = x
-    return out
+    path = [x]
+    for draw in draws[1:]:
+        x = mean + (x - mean) * decay + innovation_sd * draw
+        path.append(x)
+    return np.array(path)
 
 
 def generate_weather(weather: SyntheticWeather, samples: int, dt_minutes: float,

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heatfleet import aggregator
+from heatfleet import aggregator, engine
 from heatfleet.aggregator import PowerDensityPair, build_pddf_from_arrays, capacity_factor
+from heatfleet.building import duty_cycle
 from heatfleet.engine import (
     ParameterDist,
     PopulationSpec,
@@ -42,6 +43,46 @@ def degenerate_spec(count=1, seed=0, **overrides):
     )
     defaults.update(overrides)
     return PopulationSpec(**defaults)
+
+
+POPULATION_ARRAYS = ("capacitance", "resistance", "rated_power", "cop",
+                     "indoor_temp", "machine_state")
+
+
+def generate_population_reference(spec):
+    """generate_population with the whole-fleet resampling loop: each round
+    re-checks all N units and assigns through a boolean mask. Returns the six
+    population arrays and the number of resampling rounds."""
+    rng = np.random.default_rng(engine._streams(spec.seed)[0])
+    n, cfg = spec.count, spec.thermostat
+    required_lift = cfg.setpoint + cfg.deadband - spec.initial_outdoor_temp
+    dists = (spec.capacitance, spec.resistance, spec.rated_power, spec.cop)
+    params = [dist.sample(rng, n) for dist in dists]
+
+    def invalid(c, r, p, q):
+        finite = np.isfinite(c) & np.isfinite(r) & np.isfinite(p) & np.isfinite(q)
+        positive = (c > 0) & (r > 0) & (p > 0) & (q > 0)
+        gain = q * p * r
+        return ~(finite & positive & (gain > cfg.deadband) & (gain > required_lift))
+
+    bad = invalid(*params)
+    rounds = 0
+    while bad.any():
+        rounds += 1
+        if rounds > engine._RESAMPLE_ROUNDS:
+            raise ConfigError(
+                f"population: {int(bad.sum())} parameter draws still violate the unit "
+                f"invariants after {engine._RESAMPLE_ROUNDS} resampling rounds; distributions "
+                "are incompatible with the thermostat deadband"
+            )
+        k = int(bad.sum())
+        for values, dist in zip(params, dists):
+            values[bad] = dist.sample(rng, k)
+        bad = invalid(*params)
+    theta0 = rng.uniform(cfg.setpoint - cfg.deadband / 2.0, cfg.setpoint + cfg.deadband / 2.0, n)
+    duty = duty_cycle(*params, cfg, spec.initial_outdoor_temp)
+    n0 = (rng.random(n) < duty).astype(np.int8)
+    return (*params, theta0, n0), rounds
 
 
 class FixedTargetScenario(TrackingScenario):
@@ -167,6 +208,36 @@ class TestGeneratePopulation:
         spec = degenerate_spec(rated_power=ParameterDist.constant(0.5))
         with pytest.raises(ConfigError, match="resampling"):
             generate_population(spec)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("spec", [
+        PopulationSpec(count=2000),  # 2 rounds
+        PopulationSpec(count=2000, cop=ParameterDist.uniform(0.5, 4.0)),  # 9 to 13 rounds
+        PopulationSpec(count=300, rated_power=ParameterDist.lognormal(3.0, 1.5),
+                       cop=ParameterDist.uniform(0.5, 4.0)),  # 15 to 20 rounds
+    ])
+    def test_matches_whole_fleet_resampling_bit_for_bit(self, spec, seed):
+        # only the failed units are re-checked: the draws must land where the
+        # whole-fleet loop puts them, in all six arrays
+        spec = dataclasses.replace(spec, seed=seed)
+        expected, rounds = generate_population_reference(spec)
+        pop = generate_population(spec)
+        for name, want in zip(POPULATION_ARRAYS, expected):
+            got = getattr(pop, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert rounds >= 2
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_exhausted_resampling_reports_the_whole_fleet_count(self, seed):
+        # about 1,920 of 2,000 draws still fail after 100 rounds, a count that
+        # depends on every round's draws
+        spec = PopulationSpec(count=2000, seed=seed, cop=ParameterDist.uniform(0.1, 1.2))
+        with pytest.raises(ConfigError) as want:
+            generate_population_reference(spec)
+        with pytest.raises(ConfigError) as got:
+            generate_population(spec)
+        assert str(got.value) == str(want.value)
+        assert re.match(r"population: 19\d\d parameter draws", str(got.value))
 
     def test_population_mean_duty_cycle_in_range(self):
         spec = PopulationSpec(count=300, seed=8)

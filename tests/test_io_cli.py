@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from heatfleet.cli import main
-from heatfleet.config import RunConfig, config_from_dict, load_raw
+from heatfleet.config import RunConfig, _decode, config_from_dict, load_raw
 from heatfleet.engine import SimulationClock
 from heatfleet.errors import ConfigError, SeriesError
 from heatfleet.scenarios import SyntheticWeather, generate_weather, turbine_power
@@ -224,6 +224,29 @@ def test_run_set_fields_are_unknown_keys():
             with pytest.raises(ConfigError, match=rf"^{section}: unknown keys \['{key}'\]"):
                 config_from_dict({section: {key: None}})
         assert not set(keys) & config_from_dict({}).to_dict()[section].keys()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_nominal_profile_near_the_float_range_exits_2_at_every_seed(tmp_path, capsys, seed):
+    # whether the fluctuation draws pushed this profile past the float range
+    # used to depend on the seed; the load check now refuses it at every seed
+    config = write_config(tmp_path, {"wind": {"nominal": {
+        "anchors": [[0, 1.797e308]], "off_peak_kw": 1e307}}})
+    out = tmp_path / "w"
+    assert main(["wind", "--config", str(config), "--seed", str(seed), "--out", str(out)]) == 2
+    assert "config error: wind.nominal: the largest anchor plus 40" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_field_without_a_json_form_fails_when_its_section_is_decoded():
+    # every config field needs a decoder; a new field of another type must
+    # fail loudly rather than pass its JSON value through unchecked
+    @dataclasses.dataclass(frozen=True)
+    class Section:
+        values: list[int] = dataclasses.field(default_factory=list)
+
+    with pytest.raises(TypeError, match=r"^no JSON form for list\[int\]$"):
+        _decode(Section, {}, "section")
 
 
 @pytest.mark.parametrize("command", ["track", "wind"])

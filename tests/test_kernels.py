@@ -5,12 +5,14 @@ constants recomputed, boolean-mask copies, nested selects, a csv.writer row
 per interval. The kernels in ``src/`` must produce the same bits for every
 input, so the golden bundles cannot move when a kernel is rewritten for speed.
 The duty cycle is compared with its scalar closed form to a relative 1e-12,
-because the oracle takes ``math.log`` where the kernel takes ``np.log``.
+because the oracle takes ``math.log`` where the kernel takes ``np.log``, and
+with its boolean-mask form bit for bit.
 """
 
 import csv
 import io
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +85,26 @@ def duty_cycle_oracle(capacitance, resistance, rated_power, cop, setpoint, deadb
     t_on = tau * math.log((eq_on - lo) / (eq_on - hi))
     t_off = tau * math.log((hi - eq_off) / (lo - eq_off))
     return t_on / (t_on + t_off)
+
+
+def duty_cycle_masked(capacitance, resistance, rated_power, cop, cfg, outdoor_temp):
+    """duty_cycle that evaluates the cycling formula only on the units that
+    cycle, through boolean-mask gathers."""
+    lo = cfg.setpoint - cfg.deadband / 2.0
+    hi = cfg.setpoint + cfg.deadband / 2.0
+    duty = np.empty(capacitance.size)
+    if outdoor_temp >= lo:
+        duty[:] = 0.0
+        return duty
+    tau = capacitance * resistance
+    eq_on = outdoor_temp + cop * rated_power * resistance
+    always_on = eq_on <= hi
+    duty[always_on] = 1.0
+    cyc = ~always_on
+    t_on = tau[cyc] * np.log((eq_on[cyc] - lo) / (eq_on[cyc] - hi))
+    t_off = tau[cyc] * np.log((hi - outdoor_temp) / (lo - outdoor_temp))
+    duty[cyc] = t_on / (t_on + t_off)
+    return duty
 
 
 def max_cff_increment_oracle(pddf, cfg):
@@ -510,3 +532,56 @@ def test_duty_cycle_matches_scalar_closed_form(fleet):
         assert (duty == 1.0).all()
     elif branch == "cycling":
         assert ((duty > 0.0) & (duty < 1.0)).all()
+
+
+# each unit's branch: cycling, on-state equilibrium exactly at hi, exactly at
+# lo, or strictly between the outdoor temperature and hi
+CYCLING, AT_HI, AT_LO, BELOW_HI = range(4)
+
+
+@st.composite
+def mixed_duty_fleets(draw):
+    """1 to 300 units on every duty-cycle branch at once, or all off. The
+    thermostat and outdoor temperature are short dyadic fractions, so the
+    lifts hi - outdoor and lo - outdoor are exact and a unit of unit cop and
+    rated power with that resistance has its on-state equilibrium exactly at
+    hi or lo."""
+    resolution = draw(resolutions)
+    setpoint = draw(st.sampled_from([20.0, 0.0, -4.25]))
+    deadband = draw(st.sampled_from([1.0, 0.5, resolution / 2.0]))
+    cfg = ThermostatConfig(setpoint, deadband, resolution)
+    lo = setpoint - deadband / 2.0
+    hi = setpoint + deadband / 2.0
+    outdoor = lo + draw(st.integers(-320, 8)) / 8.0  # from lo on, no unit heats
+    size = draw(st.integers(1, 300))
+
+    def floats(low, high):
+        return draw(hnp.arrays(np.float64, size, elements=st.floats(low, high)))
+
+    kinds = draw(hnp.arrays(np.int8, size, elements=st.integers(CYCLING, BELOW_HI)))
+    capacitance = floats(0.05, 50.0)
+    exact = (kinds == AT_HI) | (kinds == AT_LO)
+    rated_power = np.where(exact, 1.0, floats(0.1, 20.0))
+    cop = np.where(exact, 1.0, floats(1.0, 6.0))
+    ratio = np.where(kinds == CYCLING, floats(1.001, 1e3), floats(1e-3, 0.999))
+    resistance = np.select([kinds == AT_HI, kinds == AT_LO], [hi - outdoor, lo - outdoor],
+                           ratio * (hi - outdoor) / (cop * rated_power))
+    return cfg, outdoor, kinds, capacitance, resistance, rated_power, cop
+
+
+@SETTINGS
+@given(mixed_duty_fleets())
+def test_duty_cycle_matches_masked_form_bit_for_bit(fleet):
+    # the kernel runs the cycling formula on every unit and overwrites the
+    # always-on ones; their inf and nan may raise no floating-point warning
+    cfg, outdoor, kinds, *params = fleet
+    lo = cfg.setpoint - cfg.deadband / 2.0
+    hi = cfg.setpoint + cfg.deadband / 2.0
+    if outdoor < lo:  # the exact branches really sit on the boundaries
+        eq_on = outdoor + params[3] * params[2] * params[1]
+        assert (eq_on[kinds == AT_HI] == hi).all() and (eq_on[kinds == AT_LO] == lo).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = duty_cycle(*params, cfg, outdoor)
+        want = duty_cycle_masked(*params, cfg, outdoor)
+    assert same_bits(got, want)

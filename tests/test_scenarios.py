@@ -1,9 +1,11 @@
 """Scenario model tests: turbine curve, nominal load, regulation target, gradients."""
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heatfleet.aggregator import FeasibleRegion
 from heatfleet.config import config_from_dict
@@ -148,6 +150,16 @@ class TestNominalLoad:
             NominalLoadModel(anchors=((0.0, -5.0),))
         with pytest.raises(ValueError):
             NominalLoadModel(anchors=())
+
+    def test_profile_bounded_by_40_sd_below_the_float_range(self):
+        # the sd is a tenth of the off-peak level: 1e308 + 40 * 1e306 and
+        # 1.79e308 + 40 * 1e303 are finite, 1.797e308 + 40 * 1e306 is not
+        assert NominalLoadModel(anchors=((0.0, 1e308),), off_peak_level=1e307)
+        assert NominalLoadModel(anchors=((0.0, 1.79e308),), off_peak_level=1e304)
+        with pytest.raises(ValueError, match="largest anchor plus 40 fluctuation sd"):
+            NominalLoadModel(anchors=((0.0, 1.797e308),), off_peak_level=1e307)
+        with pytest.raises(ValueError, match="largest anchor plus 40 fluctuation sd"):
+            NominalLoadModel(off_peak_level=1e308)
 
 
 class ConstantLoads:
@@ -311,6 +323,20 @@ class TestGradientDensity:
             power_gradient_density([1.0, 2.0, 3.0], bins=10)
 
 
+def ou_series_reference(rng, n, mean, sd, reversion_per_hour, dt_hours):
+    """The Ornstein-Uhlenbeck recurrence on numpy scalars, stored into an array."""
+    decay = math.exp(-reversion_per_hour * dt_hours)
+    innovation_sd = sd * math.sqrt(1.0 - decay * decay)
+    draws = rng.standard_normal(n)
+    out = np.empty(n)
+    x = mean + sd * draws[0]
+    out[0] = x
+    for i in range(1, n):
+        x = mean + (x - mean) * decay + innovation_sd * draws[i]
+        out[i] = x
+    return out
+
+
 class TestSyntheticWeather:
     def test_shapes_and_nonnegative_wind(self):
         rng = np.random.default_rng(89)
@@ -324,6 +350,27 @@ class TestSyntheticWeather:
         b = generate_weather(SyntheticWeather(), 100, 1.0, np.random.default_rng(7))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples=st.integers(1, 2000), seed=st.integers(0, 2**32 - 1),
+           dt_minutes=st.sampled_from([1.0, 0.25, 7.5]),
+           weather=st.builds(SyntheticWeather, wind_sd=st.floats(0.0, 5.0),
+                             temp_mean=st.floats(-20.0, 20.0),
+                             temp_reversion_per_hour=st.floats(0.01, 10.0)))
+    def test_matches_numpy_scalar_recurrence_bit_for_bit(self, samples, seed, dt_minutes,
+                                                         weather):
+        # the recurrence runs on Python floats: the same IEEE double steps
+        t, wind, temp = generate_weather(weather, samples, dt_minutes,
+                                         np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        dt_hours = dt_minutes / 60.0
+        want_wind = ou_series_reference(rng, samples, weather.wind_mean, weather.wind_sd,
+                                        weather.wind_reversion_per_hour, dt_hours)
+        want_temp = ou_series_reference(rng, samples, weather.temp_mean, weather.temp_sd,
+                                        weather.temp_reversion_per_hour, dt_hours)
+        for got, want in ((wind, np.maximum(want_wind, 0.0)), (temp, want_temp)):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert t.tobytes() == (np.arange(samples) * dt_minutes).tobytes()
 
     def test_stationary_statistics(self):
         rng = np.random.default_rng(97)
