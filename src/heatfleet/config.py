@@ -221,7 +221,8 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def load_raw(path) -> dict:
-    """Read a config file (or an emitted manifest) as an unresolved dict."""
+    """Read a config file (or an emitted manifest) as an unresolved dict. A relative
+    wind.series_file names a file beside it, and is stored as an absolute path."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
@@ -233,6 +234,9 @@ def load_raw(path) -> dict:
         data = data["config"]
     if not isinstance(data, dict):
         raise ConfigError(f"{p}: config root must be a JSON object")
+    wind = data.get("wind")
+    if isinstance(wind, dict) and isinstance(wind.get("series_file"), str):
+        wind["series_file"] = str(p.parent.absolute() / wind["series_file"])
     return data
 
 

@@ -244,8 +244,8 @@ class SimulationClock:
 class ScenarioSeries:
     """Per-interval records of one run plus fleet-level constants.
 
-    The controlled mask marks intervals where the scenario actually
-    requested a target; quantization_floor is the per-interval bound
+    The controlled mask marks the intervals from the scenario's burn-in on,
+    which steer to its target; quantization_floor is the per-interval bound
     max rated power / installed capacity + largest one-index CFF step.
     """
 
@@ -333,10 +333,10 @@ class Simulation:
     The kernels write into per-run buffers, and population.indoor_temp is
     updated in place.
 
-    Each interval the engine calls scenario.phi_target(sim, phi_now, region)
-    with itself as sim. A scenario may read k (the interval being decided),
-    inputs, the columns before k and installed_capacity; it may change only
-    rng_scenario and scenario_state, a dict that each run starts empty.
+    The engine calls scenario.phi_target(sim, phi_now, region) with itself as
+    sim from interval scenario.burn_in on. A scenario may read k (the interval
+    being decided), inputs, the columns before k and installed_capacity; it
+    may change only rng_scenario and scenario_state, a dict each run starts empty.
     """
 
     def __init__(self, population: Population, scenario, clock: SimulationClock,
@@ -365,7 +365,7 @@ class Simulation:
         # workspace: the equilibria, then quantize's arithmetic; the indices
         self._work = np.empty(len(population))
         self._index = np.empty(len(population), dtype=np.int64)
-        self.inputs = scenario.prepare(clock.horizon, clock.dt_minutes, self.rng_scenario)
+        self.inputs = scenario.prepare(clock, self.rng_scenario)
 
     def run_interval(self) -> None:
         """Execute one full report/decide/actuate cycle and record it in the columns."""
@@ -401,11 +401,9 @@ class Simulation:
         phi_now = aggregator.capacity_factor(pddf)
         phi_hold = aggregator.cff(pddf, cfg.resolution // 2)
 
-        # (4) scenario target (None holds the zero-offset prediction phi_hold)
-        target = self.scenario.phi_target(self, phi_now, region)
-        controlled = target is not None
-        if target is None:
-            target = phi_hold
+        # (4) scenario target from its burn-in on; before it, hold the zero offset
+        controlled = k >= self.scenario.burn_in
+        target = self.scenario.phi_target(self, phi_now, region) if controlled else phi_hold
 
         # (5) optimal common set-point index
         decision = aggregator.select_setpoint(pddf, target)

@@ -9,10 +9,10 @@ by steering the total load toward the mean of its last two intervals).
 The wind scenario composes a piecewise-linear diurnal nominal-load profile
 with Gaussian fluctuations, a cut-in/rated/cut-out turbine power curve, and
 wind-speed/outdoor-temperature inputs that are either ingested from a file
-or synthesized by a mean-reverting process. Each scenario's prepare returns
-the run's exogenous inputs as one ScenarioInputs value; its phi_target(sim,
-phi_now, region) reads what else it needs from the running engine Simulation
-sim and returns the next target, or None to hold the set-point offset at zero.
+or synthesized by a mean-reverting process. A scenario's prepare(clock, rng)
+returns the run's exogenous inputs as one ScenarioInputs value; from its
+burn_in on, the engine calls phi_target(sim, phi_now, region), which reads the
+running engine Simulation sim and returns the next target as a float.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import SimulationClock
 from .seriesio import ingest_series
 
 __all__ = [
@@ -73,7 +72,7 @@ class TurbineModel:
 
 
 def turbine_power(wind_speed, model: TurbineModel):
-    """Farm output (kW) for wind speed(s) in m/s.
+    """Farm output (kW) for an array of wind speeds in m/s.
 
     Zero below cut-in and at/above cut-out, rated at/above rated speed,
     cubic interpolation rated*(v^3 - v_ci^3)/(v_r^3 - v_ci^3) in between.
@@ -90,8 +89,7 @@ def turbine_power(wind_speed, model: TurbineModel):
         np.where(v >= model.rated_speed, model.rated_power,
                  model.rated_power * (v3 - ci3) / (r3 - ci3)),
     )
-    out = model.turbine_count * per_turbine
-    return float(out) if np.ndim(wind_speed) == 0 else out
+    return model.turbine_count * per_turbine
 
 
 @dataclass(frozen=True)
@@ -132,7 +130,7 @@ class NominalLoadModel:
         return 0.10 * self.off_peak_level
 
     def profile(self, time_of_day):
-        """Noise-free profile value(s) at the given hour(s), periodic over 24 h."""
+        """Noise-free profile values at an array of hours, periodic over 24 h."""
         hours = np.array([h for h, _ in self.anchors], dtype=float)
         values = np.array([v for _, v in self.anchors], dtype=float)
         # wrap the first anchor to hour+24 so interpolation is periodic
@@ -141,8 +139,7 @@ class NominalLoadModel:
         tod = np.mod(time_of_day, 24.0)
         # shift times before the first anchor into the wrapped segment
         tod = np.where(tod < hours[0], tod + 24.0, tod)
-        out = np.interp(tod, xp, fp)
-        return float(out) if np.ndim(time_of_day) == 0 else out
+        return np.interp(tod, xp, fp)
 
 
 def wind_target(wind_next_kw: float, nominal_next_kw: float, load_now_kw: float,
@@ -232,9 +229,9 @@ def generate_weather(weather: SyntheticWeather, samples: int, dt_minutes: float,
 
 @dataclass(frozen=True, eq=False)
 class ScenarioInputs:
-    """Exogenous inputs of one run, one entry per interval plus one step of
-    foreknowledge: outdoor temperature (degC), nominal load and wind
-    generation (kW)."""
+    """Exogenous inputs of one run: outdoor temperature (degC), nominal load
+    and wind generation (kW), horizon + 1 entries each. Interval k reads
+    entry k, so no interval reads the last entry."""
 
     outdoor_c: np.ndarray
     nominal_kw: np.ndarray
@@ -277,13 +274,10 @@ class TrackingScenario:
         if not 0.0 <= self.ar_coefficient < 1.0:
             raise ValueError(f"ar_coefficient must be in [0, 1), got {self.ar_coefficient!r}")
 
-    def prepare(self, horizon: int, dt_minutes: float,
-                rng: np.random.Generator) -> ScenarioInputs:
-        return _constant_inputs(horizon, self.outdoor_temp)
+    def prepare(self, clock, rng: np.random.Generator) -> ScenarioInputs:
+        return _constant_inputs(clock.horizon, self.outdoor_temp)
 
-    def phi_target(self, sim, phi_now: float, region) -> float | None:
-        if sim.k < self.burn_in:
-            return None
+    def phi_target(self, sim, phi_now: float, region) -> float:
         state = sim.scenario_state
         steady = state.setdefault("steady", phi_now if self.phi_steady is None else self.phi_steady)
         lo, hi = region.phi_min, region.phi_max
@@ -305,13 +299,10 @@ class SaturationScenario:
     burn_in: int = 100
     overshoot: float = 0.1
 
-    def prepare(self, horizon: int, dt_minutes: float,
-                rng: np.random.Generator) -> ScenarioInputs:
-        return _constant_inputs(horizon, self.outdoor_temp)
+    def prepare(self, clock, rng: np.random.Generator) -> ScenarioInputs:
+        return _constant_inputs(clock.horizon, self.outdoor_temp)
 
-    def phi_target(self, sim, phi_now: float, region) -> float | None:
-        if sim.k < self.burn_in:
-            return None
+    def phi_target(self, sim, phi_now: float, region) -> float:
         return region.phi_max + self.overshoot
 
 
@@ -320,8 +311,8 @@ class WindScenario:
     """Wind-regulation scenario: turbines plus diurnal nominal load.
 
     The weather is read from series_file when it is set, and drawn from the
-    synthetic generator otherwise. The controller reads the exogenous
-    arrays one step ahead (perfect one-step foreknowledge).
+    synthetic generator otherwise. The policy reads the wind and nominal load
+    of interval k, the interval it decides (perfect knowledge of both).
     """
 
     turbine: TurbineModel = TurbineModel()
@@ -341,27 +332,23 @@ class WindScenario:
         if self.series_file is not None and not Path(self.series_file).is_file():
             raise ValueError(f"series_file: file not found: {self.series_file}")
 
-    def prepare(self, horizon: int, dt_minutes: float,
-                rng: np.random.Generator) -> ScenarioInputs:
-        n = horizon + 1
+    def prepare(self, clock, rng: np.random.Generator) -> ScenarioInputs:
+        n = clock.horizon + 1
         if self.series_file is None:
-            _, wind_mps, outdoor = generate_weather(self.synthetic, n, dt_minutes, rng)
+            _, wind_mps, outdoor = generate_weather(self.synthetic, n, clock.dt_minutes, rng)
         else:
-            wind_mps, outdoor = ingest_series(self.series_file,
-                                              SimulationClock(dt_minutes, horizon))
+            wind_mps, outdoor = ingest_series(self.series_file, clock)
         wind_kw = turbine_power(wind_mps, self.turbine)
-        tod = np.mod(self.start_hour + np.arange(n) * dt_minutes / 60.0, 24.0)
+        tod = np.mod(self.start_hour + np.arange(n) * clock.dt_minutes / 60.0, 24.0)
         draws = rng.standard_normal(n)
         nominal_kw = np.maximum(
             0.0, self.nominal.profile(tod) + self.nominal.fluctuation_sd * draws
         )
         return ScenarioInputs(outdoor, nominal_kw, wind_kw)
 
-    def phi_target(self, sim, phi_now: float, region) -> float | None:
+    def phi_target(self, sim, phi_now: float, region) -> float:
         k = sim.k
-        if k < self.burn_in:
-            return None
-        # burn_in >= 2, so the total loads of intervals k - 1 and k - 2 are recorded
+        # called from k = burn_in >= 2 on, so the loads of intervals k - 1 and k - 2 are recorded
         load_kw = sim.columns["total_kw"]
         return wind_target(float(sim.inputs.wind_kw[k]), float(sim.inputs.nominal_kw[k]),
                            float(load_kw[k - 1]), float(load_kw[k - 2]),

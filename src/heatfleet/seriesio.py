@@ -3,9 +3,9 @@
 Exogenous input is delimited text with the header
 ``timestamp,wind_speed_mps,outdoor_temp_c`` where timestamp is minutes from
 simulation start. Rows are held (zero-order) onto the thermostat interval
-grid; the file must cover the horizon plus one interval of foreknowledge.
-Every file read here fails on a non-numeric or non-finite field, naming its
-line.
+grid; the file must cover horizon + 1 grid points, and a run reads the
+first horizon of them. Every file read here fails on a non-numeric or
+non-finite field, naming its line.
 
 Numeric text output is written with repr(), and the PDDF dumps as binary
 .npy records, so values round-trip exactly and identical runs produce
@@ -87,8 +87,8 @@ def ingest_series(path, clock: SimulationClock) -> tuple[np.ndarray, np.ndarray]
     as (wind_mps, outdoor_c).
 
     Requires strictly increasing timestamps starting at or before zero and
-    coverage through horizon * dt (horizon + 1 grid points, one step of
-    foreknowledge for the regulation target).
+    coverage through horizon * dt: horizon + 1 grid points, of which the run
+    reads the first horizon (interval k reads point k).
     """
     p = Path(path)
     _, rows = _read_csv(p, EXOGENOUS_HEADER)

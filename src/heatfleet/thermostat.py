@@ -11,8 +11,8 @@ grid (deadband/2 in temperature) on either side of the broadcast set-point
 index m_s, and the set-point offset itself is limited to R/8 index units
 (deadband/4). R must be a multiple of 8 so both offsets are exact integers.
 
-quantize rounds a temperature to its nearest index, the inverse of theta(m);
-it and hysteresis_update accept numpy arrays in place of scalar arguments.
+quantize rounds temperatures to their nearest indices, the inverse of theta(m);
+it and hysteresis_update take numpy arrays with one entry per unit.
 """
 
 from __future__ import annotations
@@ -75,16 +75,14 @@ class ThermostatConfig:
 
 
 def quantize(theta_a, cfg: ThermostatConfig, out=None, work=None):
-    """Map temperature(s) to the nearest grid index, clamped to [0, R].
+    """Map an array of temperatures to their nearest grid indices, clamped to [0, R].
 
     Rounding is half away from zero (symmetric about the setpoint);
     out-of-range temperatures saturate at the grid ends. out (int64) receives
     the indices and work (float64) holds the arithmetic; each may be a buffer
     shaped like theta_a, and by default a new array is used.
     """
-    # a 0-d buffer keeps a scalar's result an array, so every step below is in place
-    x = np.subtract(theta_a, cfg.setpoint, dtype=float,
-                    out=np.empty(np.shape(theta_a)) if work is None else work)
+    x = np.subtract(theta_a, cfg.setpoint, dtype=float, out=work)
     x += cfg.deadband
     x /= cfg.grid_step
     # floor(x + 0.5) is half away from zero for x >= 0; every x < 0 clamps to 0
@@ -93,7 +91,7 @@ def quantize(theta_a, cfg: ThermostatConfig, out=None, work=None):
     np.floor(x, out=x).clip(0.0, cfg.resolution, out=x)
     m = np.empty(x.shape, np.int64) if out is None else out
     np.copyto(m, x, casting="unsafe")  # x.astype(np.int64), into m
-    return int(m) if x.ndim == 0 else m
+    return m
 
 
 def hysteresis_update(n, m, m_s: int, cfg: ThermostatConfig):
@@ -109,6 +107,4 @@ def hysteresis_update(n, m, m_s: int, cfg: ThermostatConfig):
         )
     lower = m_s - cfg.switch_offset
     upper = m_s + cfg.switch_offset
-    m_arr = np.asarray(m)
-    n_new = ((m_arr <= lower) | ((m_arr < upper) & (np.asarray(n) != 0))).view(np.int8)
-    return int(n_new) if m_arr.ndim == 0 else n_new
+    return ((m <= lower) | ((m < upper) & (n != 0))).view(np.int8)

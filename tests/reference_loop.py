@@ -32,7 +32,7 @@ def run_reference(spec, scenario, clock) -> dict:
     lift = pop.cop * pop.rated_power * pop.resistance
     capacity = float(pop.rated_power.sum())
     theta, n, sd = pop.indoor_temp, pop.machine_state, spec.process_noise_sd
-    inputs = scenario.prepare(clock.horizon, clock.dt_minutes, rng_scenario)
+    inputs = scenario.prepare(clock, rng_scenario)
     cols = {name: [] for name in (
         "nominal_kw", "wind_kw", "heatpump_kw", "total_kw", "phi", "phi_target", "u", "phi_min",
         "phi_max", "mean_theta", "phi_predicted", "quantization_floor", "controlled",
@@ -50,11 +50,10 @@ def run_reference(spec, scenario, clock) -> dict:
         m = m.clip(0, r).astype(np.int64)
         pddf = build_pddf_from_arrays(n, m, pop.rated_power, cfg)  # (3)
         region = feasible_region(pddf)
-        sim.k = k  # (4)
-        target = scenario.phi_target(sim, capacity_factor(pddf), region)
-        controlled = target is not None
-        if not controlled:
-            target = cff(pddf, r // 2)
+        sim.k = k  # (4) from the burn-in on; before it, the zero-offset prediction
+        controlled = k >= scenario.burn_in
+        target = (scenario.phi_target(sim, capacity_factor(pddf), region) if controlled
+                  else cff(pddf, r // 2))
         ms_star = min(range(cfg.ms_min, cfg.ms_max + 1),  # (5)
                       key=lambda s: (abs(target - cff(pddf, s)), abs(s - r // 2)))
         lower, upper = ms_star - r // 4, ms_star + r // 4  # (6) on at <= lower, off at >= upper

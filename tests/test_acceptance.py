@@ -129,21 +129,24 @@ def _rational_rule(n, m, m_s, cfg):
 def test_criterion_2_switching_rule_equivalence():
     cfg8 = ThermostatConfig(SETPOINT, DEADBAND, 8)
     checks = 0
+    # every (m, n) pair on the R = 8 grid, as one fleet per set-point index
+    m, n = np.repeat(np.arange(9), 2), np.tile([0, 1], 9)
     for m_s in range(cfg8.ms_min, cfg8.ms_max + 1):
-        for m in range(9):
-            for n in (0, 1):
-                assert hysteresis_update(n, m, m_s, cfg8) == \
-                    _rational_rule(n, m, m_s, cfg8)
-                checks += 1
+        got = hysteresis_update(n, m, m_s, cfg8).tolist()
+        assert got == [_rational_rule(a, b, m_s, cfg8) for a, b in zip(n.tolist(), m.tolist())]
+        checks += m.size
 
     cfg = ThermostatConfig(SETPOINT, DEADBAND, 1000)
     rng = np.random.default_rng(102)
     m = rng.integers(0, 1001, 100_000)
     n = rng.integers(0, 2, 100_000)
     m_s = rng.integers(cfg.ms_min, cfg.ms_max + 1, 100_000)
-    for i in range(100_000):
-        got = hysteresis_update(int(n[i]), int(m[i]), int(m_s[i]), cfg)
-        assert got == _rational_rule(int(n[i]), int(m[i]), int(m_s[i]), cfg)
+    # one set-point index is broadcast to a whole fleet: one call per index drawn
+    for index in np.unique(m_s).tolist():
+        units = np.flatnonzero(m_s == index)
+        got = hysteresis_update(n[units], m[units], index, cfg).tolist()
+        assert got == [_rational_rule(a, b, index, cfg)
+                       for a, b in zip(n[units].tolist(), m[units].tolist())]
     print(f"\nACCEPTANCE 2 PASS: switching equivalence, {checks} exhaustive "
           f"+ 100000 random checks")
 

@@ -85,14 +85,6 @@ def generate_population_reference(spec):
     return (*params, theta0, n0), rounds
 
 
-class FixedTargetScenario(TrackingScenario):
-    """Test policy: never request a target, so the engine steers to the
-    zero-offset prediction (no-op control)."""
-
-    def phi_target(self, sim, phi_now, region):
-        return None
-
-
 class FeasibleFractionScenario(TrackingScenario):
     """Test policy: a random but always-feasible target each interval."""
 
@@ -102,10 +94,20 @@ class FeasibleFractionScenario(TrackingScenario):
 
 
 class ExplodingScenario(TrackingScenario):
+    """Test policy: a feasible target each interval until interval 3 raises."""
+
     def phi_target(self, sim, phi_now, region):
         if sim.k == 3:
             raise RuntimeError("scenario blew up")
-        return None
+        return region.phi_min
+
+
+class RecordingScenario(TrackingScenario):
+    """Test policy: the feasible maximum, recording each interval it is asked for."""
+
+    def phi_target(self, sim, phi_now, region):
+        sim.scenario_state.setdefault("asked", []).append(sim.k)
+        return region.phi_max
 
 
 class TestParameterDist:
@@ -275,7 +277,8 @@ class TestRunInterval:
         spec = degenerate_spec()
         pop = generate_population(spec)
         clock = SimulationClock(1.0, 300)
-        sim = Simulation(pop, FixedTargetScenario(), clock,
+        # a burn-in as long as the run: no interval is controlled
+        sim = Simulation(pop, TrackingScenario(burn_in=clock.horizon), clock,
                          noise_seed=3, scenario_seed=4)
         states = []
         for k in range(clock.horizon):
@@ -302,7 +305,19 @@ class TestRunInterval:
     def test_scenario_error_carries_interval_index(self):
         spec = degenerate_spec(count=20, seed=33)
         with pytest.raises(EngineError, match="interval 3"):
-            run_simulation(spec, ExplodingScenario(), SimulationClock(1.0, 10))
+            run_simulation(spec, ExplodingScenario(burn_in=0), SimulationClock(1.0, 10))
+
+    @pytest.mark.parametrize("burn_in", [0, 1, 7, 12, 17])
+    def test_scenario_is_asked_from_its_burn_in_on(self, burn_in):
+        # a horizon of 12: a burn-in inside it, equal to it and past it
+        pop = generate_population(PopulationSpec(count=50, seed=35))
+        sim = Simulation(pop, RecordingScenario(burn_in=burn_in), SimulationClock(1.0, 12),
+                         noise_seed=3, scenario_seed=4)
+        series = sim.run()
+        assert sim.scenario_state.get("asked", []) == list(range(burn_in, 12))
+        assert series.controlled.tolist() == [k >= burn_in for k in range(12)]
+        # before the burn-in the engine holds the zero offset, index R/2
+        assert (series.ms_star[:burn_in] == pop.thermostat.resolution // 2).all()
 
     def test_misprediction_fails_naming_the_interval(self, monkeypatch):
         select = aggregator.select_setpoint

@@ -503,6 +503,36 @@ class TestCli:
                             for arm in ("controlled", "uncontrolled")])
         assert written[0] == written[1]
 
+    def test_relative_series_file_is_read_beside_the_config(self, tmp_path, monkeypatch):
+        # the config lives in a/, the run starts in b/, and the rerun of b's
+        # manifest in c/
+        a, b, c = (tmp_path / name for name in "abc")
+        data = {"scenario": "wind", "seed": 4, "clock": {"horizon": 12},
+                "population": {"count": 20}, "thermostat": {"resolution": 64},
+                "wind": {"burn_in": 5}}
+        assert main(["gen-wind", "--config", str(write_config(tmp_path, data)),
+                     "--out", str(a / "weather")]) == 0
+        data["wind"]["series_file"] = "weather/exogenous_series.csv"
+        config = write_config(a, data)
+        for cwd in (b, c):
+            cwd.mkdir()
+        monkeypatch.chdir(b)
+        assert main(["wind", "--config", str(config), "--out", "out"]) == 0
+        manifest = json.loads((b / "out" / "manifest.json").read_text())
+        assert manifest["config"]["wind"]["series_file"] == \
+            str(a / "weather" / "exogenous_series.csv")
+        monkeypatch.chdir(c)
+        assert main(["wind", "--config", str(b / "out" / "manifest.json"), "--out", "out"]) == 0
+        for arm in ("controlled", "uncontrolled"):
+            name = f"wind_{arm}_series.csv"
+            assert (c / "out" / name).read_bytes() == (b / "out" / name).read_bytes()
+
+    def test_load_raw_keeps_an_absolute_or_unset_series_file(self, tmp_path):
+        # a section that is not an object is left for the decoder to reject
+        absolute = str(tmp_path / "elsewhere" / "series.csv")
+        for wind in ({"series_file": absolute}, {"series_file": None}, {"burn_in": 5}, [1]):
+            assert load_raw(write_config(tmp_path, {"wind": wind})) == {"wind": wind}
+
     def test_default_gen_wind_covers_the_default_wind_run(self, tmp_path):
         # gen-wind resolves the wind scenario's horizon, as `wind` does
         assert main(["gen-wind", "--out", str(tmp_path)]) == 0

@@ -170,8 +170,6 @@ def test_quantize_matches_where_floor_ceil_oracle(data):
     with np.errstate(over="ignore", invalid="ignore"):
         expected = quantize_oracle(theta, cfg)
         assert same_bits(quantize(theta, cfg), expected)
-        for value, m in zip(theta, expected):
-            assert quantize(float(value), cfg) == int(m)
 
 
 @SETTINGS
@@ -190,9 +188,6 @@ def test_quantize_into_buffers_matches_allocating_call(data):
         # the arithmetic may run in the temperatures themselves
         aliased = quantize(theta, cfg, out=np.full(theta.size, -1), work=theta)
         assert same_bits(aliased, expected)
-        for value, m in zip(original, expected):
-            scalar = quantize(float(value), cfg)
-            assert type(scalar) is int and scalar == int(m)
 
 
 @SETTINGS
@@ -207,7 +202,9 @@ def test_hysteresis_vector_matches_scalar_and_oracle(data):
     m_s = data.draw(st.integers(cfg.ms_min, cfg.ms_max))
     out = hysteresis_update(n, m, m_s, cfg)
     assert same_bits(out, hysteresis_oracle(n, m, m_s, cfg))
-    assert [hysteresis_update(int(a), int(b), m_s, cfg) for a, b in zip(n, m)] == out.tolist()
+    # each unit switched alone, as a one-unit fleet, gives its entry of the fleet's call
+    assert [int(hysteresis_update(n[i:i + 1], m[i:i + 1], m_s, cfg)[0])
+            for i in range(size)] == out.tolist()
 
 
 @st.composite

@@ -34,22 +34,34 @@ def deadband_rule_oracle(n: int, m: int, m_s: int, cfg: ThermostatConfig) -> int
     return n
 
 
+def quantize_one(theta: float, cfg: ThermostatConfig) -> int:
+    """quantize of a one-unit fleet."""
+    (m,) = quantize(np.array([theta]), cfg)
+    return int(m)
+
+
+def switch_one(n: int, m: int, m_s: int, cfg: ThermostatConfig) -> int:
+    """hysteresis_update of a one-unit fleet."""
+    (n_new,) = hysteresis_update(np.array([n], dtype=np.int8), np.array([m]), m_s, cfg)
+    return int(n_new)
+
+
 class TestQuantize:
     def test_setpoint_maps_to_midpoint(self):
-        assert quantize(20.0, CFG_PAPER) == 500
-        assert quantize(20.0, CFG_SMALL) == 4
+        assert quantize_one(20.0, CFG_PAPER) == 500
+        assert quantize_one(20.0, CFG_SMALL) == 4
 
     def test_grid_endpoints(self):
-        assert quantize(19.0, CFG_PAPER) == 0
-        assert quantize(21.0, CFG_PAPER) == 1000
+        assert quantize_one(19.0, CFG_PAPER) == 0
+        assert quantize_one(21.0, CFG_PAPER) == 1000
 
     def test_paper_resolution_example(self):
         # round((0.355 + 1) / 0.002) with half-away-from-zero rounding
-        assert quantize(20.355, CFG_PAPER) == 678
+        assert quantize_one(20.355, CFG_PAPER) == 678
 
     def test_out_of_range_clamps(self):
-        assert quantize(12.0, CFG_PAPER) == 0
-        assert quantize(30.0, CFG_PAPER) == 1000
+        assert quantize_one(12.0, CFG_PAPER) == 0
+        assert quantize_one(30.0, CFG_PAPER) == 1000
 
     def test_round_trip_within_half_step(self):
         thetas = np.linspace(19.0, 21.0, 20_011)
@@ -65,30 +77,30 @@ class TestQuantize:
 
 class TestHysteresis:
     def test_zero_offset_boundaries(self):
-        assert hysteresis_update(0, 250, 500, CFG_PAPER) == 1
-        assert hysteresis_update(1, 750, 500, CFG_PAPER) == 0
-        assert hysteresis_update(1, 500, 500, CFG_PAPER) == 1  # hold
-        assert hysteresis_update(0, 500, 500, CFG_PAPER) == 0  # hold
+        assert switch_one(0, 250, 500, CFG_PAPER) == 1
+        assert switch_one(1, 750, 500, CFG_PAPER) == 0
+        assert switch_one(1, 500, 500, CFG_PAPER) == 1  # hold
+        assert switch_one(0, 500, 500, CFG_PAPER) == 0  # hold
 
     def test_boundary_equality_switches(self):
         # exactly at the thresholds: <= and >= both act
-        assert hysteresis_update(0, 250, 500, CFG_PAPER) == 1
-        assert hysteresis_update(1, 250, 500, CFG_PAPER) == 1
-        assert hysteresis_update(1, 750, 500, CFG_PAPER) == 0
-        assert hysteresis_update(0, 750, 500, CFG_PAPER) == 0
+        assert switch_one(0, 250, 500, CFG_PAPER) == 1
+        assert switch_one(1, 250, 500, CFG_PAPER) == 1
+        assert switch_one(1, 750, 500, CFG_PAPER) == 0
+        assert switch_one(0, 750, 500, CFG_PAPER) == 0
 
     def test_offset_moves_boundaries(self):
         # m_s = 625 is the +deadband/4 bound: thresholds at 375 and 875
-        assert hysteresis_update(0, 375, 625, CFG_PAPER) == 1
-        assert hysteresis_update(0, 376, 625, CFG_PAPER) == 0
-        assert hysteresis_update(1, 875, 625, CFG_PAPER) == 0
-        assert hysteresis_update(1, 874, 625, CFG_PAPER) == 1
+        assert switch_one(0, 375, 625, CFG_PAPER) == 1
+        assert switch_one(0, 376, 625, CFG_PAPER) == 0
+        assert switch_one(1, 875, 625, CFG_PAPER) == 0
+        assert switch_one(1, 874, 625, CFG_PAPER) == 1
 
     def test_admissible_interval_enforced(self):
         with pytest.raises(ValueError):
-            hysteresis_update(0, 500, 374, CFG_PAPER)
+            switch_one(0, 500, 374, CFG_PAPER)
         with pytest.raises(ValueError):
-            hysteresis_update(0, 500, 626, CFG_PAPER)
+            switch_one(0, 500, 626, CFG_PAPER)
 
     def test_hold_inside_band(self):
         rng = np.random.default_rng(5)
@@ -96,14 +108,14 @@ class TestHysteresis:
             m_s = int(rng.integers(CFG_PAPER.ms_min, CFG_PAPER.ms_max + 1))
             m = int(rng.integers(m_s - 249, m_s + 250))
             for n in (0, 1):
-                assert hysteresis_update(n, m, m_s, CFG_PAPER) == n
+                assert switch_one(n, m, m_s, CFG_PAPER) == n
 
     def test_exhaustive_small_grid_matches_oracle(self):
         cfg = CFG_SMALL
         for m_s in range(cfg.ms_min, cfg.ms_max + 1):
             for m in range(cfg.resolution + 1):
                 for n in (0, 1):
-                    assert hysteresis_update(n, m, m_s, cfg) == \
+                    assert switch_one(n, m, m_s, cfg) == \
                         deadband_rule_oracle(n, m, m_s, cfg)
 
     def test_sampled_paper_grid_matches_oracle(self):
@@ -113,7 +125,7 @@ class TestHysteresis:
             m = int(rng.integers(0, cfg.resolution + 1))
             m_s = int(rng.integers(cfg.ms_min, cfg.ms_max + 1))
             n = int(rng.integers(0, 2))
-            assert hysteresis_update(n, m, m_s, cfg) == \
+            assert switch_one(n, m, m_s, cfg) == \
                 deadband_rule_oracle(n, m, m_s, cfg)
 
     def test_array_form_agrees_with_scalar(self):
@@ -122,7 +134,7 @@ class TestHysteresis:
         n = rng.integers(0, 2, 500)
         out = hysteresis_update(n, m, 531, CFG_PAPER)
         for i in range(500):
-            assert out[i] == hysteresis_update(int(n[i]), int(m[i]), 531, CFG_PAPER)
+            assert out[i] == switch_one(int(n[i]), int(m[i]), 531, CFG_PAPER)
 
 
 def test_config_invariants():
