@@ -119,11 +119,6 @@ class ControlDecision(NamedTuple):
     phi_target: float
     phi_predicted: float
 
-    @property
-    def clamped(self) -> bool:
-        """True when the requested target fell outside the feasible region."""
-        return self.phi_target < self.phi_min or self.phi_target > self.phi_max
-
 
 def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
                            cfg: ThermostatConfig) -> PowerDensityPair:

@@ -10,8 +10,8 @@ prediction; the loop enforces that as a hard invariant.
 
 Randomness comes from three streams spawned off the master seed: parameter
 generation, per-interval process noise (drawn in building-id order), and the
-scenario. The scenario stream is independent of the population size, so the
-same seed gives the same weather and targets for any fleet.
+scenario, the last two spawned by the Simulation. The scenario stream does not
+depend on the fleet size, so one seed gives any fleet the same weather and targets.
 """
 
 from __future__ import annotations
@@ -148,10 +148,6 @@ class Population:
     def __len__(self) -> int:
         return self.capacitance.size
 
-    @property
-    def installed_capacity(self) -> float:
-        return float(self.rated_power.sum())
-
 
 def _streams(seed: int) -> tuple[np.random.SeedSequence, ...]:
     """Spawn the (parameters, process noise, scenario) child streams."""
@@ -235,14 +231,10 @@ class SimulationClock:
         if self.horizon < 0:
             raise ValueError(f"horizon must be >= 0, got {self.horizon}")
 
-    @property
-    def dt_hours(self) -> float:
-        return self.dt_minutes / 60.0
-
 
 @dataclass(eq=False)  # arrays have no truth value: identity equality
 class ScenarioSeries:
-    """Per-interval records of one run plus fleet-level constants.
+    """Per-interval records of one run plus the fleet's constants and ThermostatConfig.
 
     The controlled mask marks the intervals from the scenario's burn-in on,
     which steer to its target; quantization_floor is the per-interval bound
@@ -270,8 +262,7 @@ class ScenarioSeries:
     ms_star: np.ndarray
     installed_capacity: float
     population_size: int
-    setpoint: float
-    deadband: float
+    thermostat: ThermostatConfig
 
     def __len__(self) -> int:
         return self.k.size
@@ -285,8 +276,8 @@ class ScenarioSeries:
         }
         if len(self) == 0:
             return out
-        comfort_lo = self.setpoint - self.deadband - 0.1
-        comfort_hi = self.setpoint + self.deadband + 0.1
+        comfort_lo = self.thermostat.setpoint - self.thermostat.deadband - 0.1
+        comfort_hi = self.thermostat.setpoint + self.thermostat.deadband + 0.1
         mask = self.controlled
         err = np.abs(self.phi - self.phi_target)[mask]
         out.update(
@@ -330,8 +321,9 @@ class Simulation:
     array preallocated for the horizon; interval k fills entry k. The float
     columns are the rows of one block, so an interval writes them at once.
 
-    The kernels write into per-run buffers, and population.indoor_temp is
-    updated in place.
+    seed is the master seed, so Simulation(generate_population(spec), scenario,
+    clock, spec.seed).run() returns what run_simulation(spec, scenario, clock) does.
+    The kernels write into per-run buffers; population.indoor_temp is updated in place.
 
     The engine calls scenario.phi_target(sim, phi_now, region) with itself as
     sim from interval scenario.burn_in on. A scenario may read k (the interval
@@ -340,11 +332,11 @@ class Simulation:
     """
 
     def __init__(self, population: Population, scenario, clock: SimulationClock,
-                 noise_seed, scenario_seed, diagnostic_sink=None):
+                 seed: int, diagnostic_sink=None):
         self.population = population
         self.scenario = scenario
         self.clock = clock
-        self.cfg = population.thermostat
+        _, noise_seed, scenario_seed = _streams(seed)
         self.rng_noise = np.random.default_rng(noise_seed)
         self.rng_scenario = np.random.default_rng(scenario_seed)
         self.diagnostic_sink = diagnostic_sink
@@ -359,8 +351,8 @@ class Simulation:
         # per-run constants: the fleet's parameters never change during a run
         self._decay, self._lift = thermal_constants(
             population.capacitance, population.resistance, population.rated_power,
-            population.cop, clock.dt_hours)
-        self.installed_capacity = population.installed_capacity
+            population.cop, clock.dt_minutes / 60.0)
+        self.installed_capacity = float(population.rated_power.sum())
         self._max_rated_power = float(population.rated_power.max())
         # workspace: the equilibria, then quantize's arithmetic; the indices
         self._work = np.empty(len(population))
@@ -370,7 +362,7 @@ class Simulation:
     def run_interval(self) -> None:
         """Execute one full report/decide/actuate cycle and record it in the columns."""
         pop = self.population
-        cfg = self.cfg
+        cfg = pop.thermostat
         k = self.k
         cols = self.columns
         inputs = self.inputs
@@ -460,8 +452,7 @@ class Simulation:
             **{name: column[:self.k] for name, column in self.columns.items()},
             installed_capacity=self.installed_capacity,
             population_size=len(pop),
-            setpoint=pop.thermostat.setpoint,
-            deadband=pop.thermostat.deadband,
+            thermostat=pop.thermostat,
         )
 
 
@@ -472,8 +463,5 @@ def run_simulation(spec: PopulationSpec, scenario, clock: SimulationClock,
     Fully deterministic for a fixed spec seed: the population, process noise
     and scenario each consume an independent child stream of the master seed.
     """
-    population = generate_population(spec)
-    _, noise_ss, scenario_ss = _streams(spec.seed)
-    sim = Simulation(population, scenario, clock, noise_ss, scenario_ss,
-                     diagnostic_sink=diagnostic_sink)
-    return sim.run()
+    return Simulation(generate_population(spec), scenario, clock, spec.seed,
+                      diagnostic_sink=diagnostic_sink).run()

@@ -107,7 +107,7 @@ def ingest_series(path, clock: SimulationClock) -> tuple[np.ndarray, np.ndarray]
     if ts[-1] < grid[-1]:
         raise SeriesError(
             f"{p}: series ends at {ts[-1]} min but the run needs coverage through "
-            f"{grid[-1]} min ({clock.horizon} intervals plus one step of foreknowledge)"
+            f"{grid[-1]} min, horizon x dt: {samples} grid points, the last read by no interval"
         )
     idx = np.searchsorted(ts, grid, side="right") - 1
     return wind[idx], temp[idx]

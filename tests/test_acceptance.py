@@ -319,11 +319,11 @@ def test_criterion_9_comfort(tracking_series, saturation_series, wind_pair):
         "wind_uncontrolled": wind_pair[1],
     }
     for name, s in runs.items():
-        lo = s.setpoint - s.deadband - 0.1
-        hi = s.setpoint + s.deadband + 0.1
+        lo = s.thermostat.setpoint - s.thermostat.deadband - 0.1
+        hi = s.thermostat.setpoint + s.thermostat.deadband + 0.1
         assert (s.min_theta >= lo).all(), name
         assert (s.max_theta <= hi).all(), name
-        assert abs(s.mean_theta.mean() - s.setpoint) < s.deadband / 2, name
+        assert abs(s.mean_theta.mean() - s.thermostat.setpoint) < s.thermostat.deadband / 2, name
     print("\nACCEPTANCE 9 PASS: all unit-intervals inside the comfort envelope "
           "and run means within deadband/2 of the setpoint on "
           f"{len(runs)} runs")

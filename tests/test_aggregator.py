@@ -254,7 +254,7 @@ class TestSelectSetpoint:
         high = select_setpoint(pddf, 2.0)
         assert high.ms_star == high.ms_max == 625
         assert high.u == CFG1000.deadband / 4
-        assert high.clamped
+        assert high.phi_target > high.phi_max
         low = select_setpoint(pddf, -1.0)
         assert low.ms_star == low.ms_min == 375
         assert low.u == -CFG1000.deadband / 4

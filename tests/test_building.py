@@ -124,8 +124,7 @@ def test_contraction_toward_equilibrium():
 
 
 def _one_interval(pop):
-    sim = Simulation(pop, TrackingScenario(burn_in=10**9), SimulationClock(1.0, 1),
-                     noise_seed=1, scenario_seed=2)
+    sim = Simulation(pop, TrackingScenario(burn_in=10**9), SimulationClock(1.0, 1), seed=1)
     sim.run_interval()
     return sim.series()
 

@@ -25,7 +25,7 @@ from heatfleet.engine import (
     run_simulation,
 )
 from heatfleet.errors import ConfigError, EngineError
-from heatfleet.scenarios import TrackingScenario
+from heatfleet.scenarios import TrackingScenario, WindScenario
 from heatfleet.thermostat import ThermostatConfig, quantize
 
 
@@ -255,7 +255,7 @@ def test_free_running_cycle_period_near_paper_anchor():
     pop = generate_population(spec)
     clock = SimulationClock(1.0, 480)
     scenario = TrackingScenario(burn_in=10**9)
-    sim = Simulation(pop, scenario, clock, noise_seed=1, scenario_seed=2)
+    sim = Simulation(pop, scenario, clock, seed=1)
     on_events = [[] for _ in range(len(pop))]
     prev = pop.machine_state.copy()
     for k in range(clock.horizon):
@@ -278,8 +278,7 @@ class TestRunInterval:
         pop = generate_population(spec)
         clock = SimulationClock(1.0, 300)
         # a burn-in as long as the run: no interval is controlled
-        sim = Simulation(pop, TrackingScenario(burn_in=clock.horizon), clock,
-                         noise_seed=3, scenario_seed=4)
+        sim = Simulation(pop, TrackingScenario(burn_in=clock.horizon), clock, seed=3)
         states = []
         for k in range(clock.horizon):
             sim.run_interval()
@@ -296,8 +295,7 @@ class TestRunInterval:
                                rated_power=ParameterDist.uniform(3.0, 5.0))
         pop = generate_population(spec)
         clock = SimulationClock(1e-9, 50)  # dt effectively zero
-        sim = Simulation(pop, FeasibleFractionScenario(burn_in=0), clock,
-                         noise_seed=5, scenario_seed=6)
+        sim = Simulation(pop, FeasibleFractionScenario(burn_in=0), clock, seed=5)
         for k in range(clock.horizon):
             sim.run_interval()
             assert abs(sim.columns["phi"][k] - sim.columns["phi_predicted"][k]) <= 1e-12
@@ -311,8 +309,7 @@ class TestRunInterval:
     def test_scenario_is_asked_from_its_burn_in_on(self, burn_in):
         # a horizon of 12: a burn-in inside it, equal to it and past it
         pop = generate_population(PopulationSpec(count=50, seed=35))
-        sim = Simulation(pop, RecordingScenario(burn_in=burn_in), SimulationClock(1.0, 12),
-                         noise_seed=3, scenario_seed=4)
+        sim = Simulation(pop, RecordingScenario(burn_in=burn_in), SimulationClock(1.0, 12), seed=3)
         series = sim.run()
         assert sim.scenario_state.get("asked", []) == list(range(burn_in, 12))
         assert series.controlled.tolist() == [k >= burn_in for k in range(12)]
@@ -339,8 +336,7 @@ class TestRunInterval:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_temperature_fails_at_the_thermal_step(self, bad):
         pop = generate_population(PopulationSpec(count=50, seed=34))
-        sim = Simulation(pop, TrackingScenario(burn_in=0), SimulationClock(1.0, 10),
-                         noise_seed=3, scenario_seed=4)
+        sim = Simulation(pop, TrackingScenario(burn_in=0), SimulationClock(1.0, 10), seed=3)
         for _ in range(3):
             sim.run_interval()
         pop.indoor_temp[[7, 31]] = bad
@@ -356,8 +352,7 @@ def test_interval_allocates_less_than_three_fleet_arrays():
     # fleet-sized arrays; without it an interval peaks at about 4.5 x 8N bytes
     n = 100_000
     pop = generate_population(PopulationSpec(count=n, seed=61))
-    sim = Simulation(pop, TrackingScenario(burn_in=2), SimulationClock(1.0, 4),
-                     noise_seed=3, scenario_seed=4)
+    sim = Simulation(pop, TrackingScenario(burn_in=2), SimulationClock(1.0, 4), seed=3)
     for _ in range(3):
         sim.run_interval()
     tracemalloc.start()
@@ -373,8 +368,7 @@ def test_run_updates_temperatures_in_place_and_pairs_own_their_arrays():
     pop = generate_population(PopulationSpec(count=300, seed=62))
     temperatures = pop.indoor_temp
     pairs = []
-    sim = Simulation(pop, FeasibleFractionScenario(burn_in=0), SimulationClock(1.0, 12),
-                     noise_seed=3, scenario_seed=4,
+    sim = Simulation(pop, FeasibleFractionScenario(burn_in=0), SimulationClock(1.0, 12), seed=3,
                      diagnostic_sink=lambda k, pddf, decision: pairs.append(
                          (pddf, pddf.phi0.copy(), pddf.phi1.copy())))
     sim.run()
@@ -425,7 +419,7 @@ class TestRunSimulation:
 
         def simulation(seed):
             return Simulation(generate_population(PopulationSpec(count=200, seed=seed)),
-                              scenario, clock, noise_seed=seed + 1, scenario_seed=seed + 2)
+                              scenario, clock, seed=seed + 1)
 
         solo = [simulation(5).run(), simulation(6).run()]
         first = simulation(5)
@@ -440,6 +434,17 @@ class TestRunSimulation:
             for f in dataclasses.fields(ScenarioSeries):
                 assert np.array_equal(getattr(alone, f.name), getattr(interleaved, f.name)), \
                     f.name
+
+    @pytest.mark.parametrize("scenario, horizon", [(TrackingScenario(burn_in=20), 80),
+                                                   (WindScenario(burn_in=5), 40)])
+    def test_simulation_from_the_master_seed_is_run_simulation(self, scenario, horizon):
+        # Simulation spawns its noise and scenario streams from the seed it is given
+        spec = PopulationSpec(count=120, seed=57)
+        clock = SimulationClock(1.0, horizon)
+        direct = Simulation(generate_population(spec), scenario, clock, spec.seed).run()
+        via = run_simulation(spec, scenario, clock)
+        for f in dataclasses.fields(ScenarioSeries):
+            assert np.array_equal(getattr(direct, f.name), getattr(via, f.name)), f.name
 
     def test_total_load_identity_every_interval(self):
         spec = PopulationSpec(count=100, seed=52)
@@ -495,7 +500,7 @@ def test_report_arrays_equal_quantized_state():
     m = quantize(pop.indoor_temp, pop.thermostat)
     pddf = build_pddf_from_arrays(pop.machine_state, m, pop.rated_power,
                                   pop.thermostat)
-    direct = (pop.machine_state * pop.rated_power).sum() / pop.installed_capacity
+    direct = (pop.machine_state * pop.rated_power).sum() / pop.rated_power.sum()
     assert capacity_factor(pddf) == pytest.approx(direct, abs=1e-12)
 
 
@@ -553,8 +558,7 @@ def test_whole_run_invariants(run):
     spec, clock = run
     pop = generate_population(spec)
     cfg = pop.thermostat
-    sim = Simulation(pop, TrackingScenario(spec.initial_outdoor_temp, burn_in=0), clock,
-                     noise_seed=1, scenario_seed=2)
+    sim = Simulation(pop, TrackingScenario(spec.initial_outdoor_temp, burn_in=0), clock, seed=1)
     for k in range(clock.horizon):
         before = pop.machine_state.tolist()
         sim.run_interval()

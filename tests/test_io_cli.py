@@ -279,10 +279,11 @@ class TestIngestSeries:
         assert (power == 5000.0).all()
         assert (temp == 8.0).all()
 
-    def test_short_series_rejected_citing_foreknowledge(self, tmp_path):
+    def test_short_series_rejected_citing_coverage_rule(self, tmp_path):
         clock = SimulationClock(1.0, 50)
         rows = [f"{t},12.0,8.0" for t in range(0, 50)]  # ends at 49 < 50
-        with pytest.raises(SeriesError, match="foreknowledge"):
+        with pytest.raises(SeriesError, match="through 50.0 min, horizon x dt: 51 grid points, "
+                                              "the last read by no interval"):
             ingest_series(self.make_file(tmp_path, rows), clock)
 
     def test_non_monotonic_rejected(self, tmp_path):
