@@ -6,9 +6,9 @@ The stdlib `ast` lists the `raise` statements of src/heatfleet. While the
 tests run, sys.settrace and threading.settrace trace only the code objects
 of those files that hold one, and stop tracing a code object once all of
 its raises have run. A raise counts as executed when an exception is
-raised at one of its lines. A bare `raise` re-raises without that event, so
-only a code object that holds one that has not run yet gets line events too,
-and a bare raise counts when its line runs.
+raised at one of its lines; no line events are asked for. A bare `raise`
+re-raises without that event, so src/heatfleet may hold none: the plugin
+refuses one with a usage error that names its file and line.
 
 At the end of the session the plugin lists every raise that no test
 executed and fails the session, unless ALLOWED names it. An ALLOWED key is
@@ -40,7 +40,6 @@ class Raise(NamedTuple):
     file: str  # relative to the repo
     line: int  # the first line of the statement
     text: str  # that line, stripped
-    bare: bool  # a re-raise, which sends the tracer no exception event
 
     @property
     def key(self) -> str:
@@ -48,7 +47,8 @@ class Raise(NamedTuple):
 
 
 def raise_statements(root: Path = SRC) -> dict[str, dict[int, Raise]]:
-    """{absolute file: {line: its Raise}} over every line of every raise statement."""
+    """{absolute file: {line: its Raise}} over every line of every raise statement.
+    A bare raise sends the tracer no exception event, so one is a usage error."""
     statements = {}
     for path in sorted(root.rglob("*.py")):
         text = path.read_text()
@@ -57,8 +57,10 @@ def raise_statements(root: Path = SRC) -> dict[str, dict[int, Raise]]:
         by_line = {}
         for node in ast.walk(ast.parse(text, str(path))):
             if isinstance(node, ast.Raise):
-                statement = Raise(name, node.lineno, lines[node.lineno - 1].strip(),
-                                  node.exc is None)
+                if node.exc is None:
+                    raise pytest.UsageError(f"{name}:{node.lineno}: a bare raise cannot be "
+                                            "traced; raise an exception object")
+                statement = Raise(name, node.lineno, lines[node.lineno - 1].strip())
                 by_line.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1), statement))
         if by_line:
             statements[str(path)] = by_line
@@ -68,14 +70,12 @@ def raise_statements(root: Path = SRC) -> dict[str, dict[int, Raise]]:
 class RaiseTracer:
     """Records which raise statements run. trace is the sys.settrace hook: it
     gives a frame a tracer only while its code object holds a raise that has
-    not run, and that tracer sees the frame's exceptions, and its lines only
-    while a bare raise in it has not run."""
+    not run, and that tracer sees the frame's exceptions, not its lines."""
 
     def __init__(self, statements: dict[str, dict[int, Raise]]):
         self.statements = statements
         self.executed: set[Raise] = set()
         local_of = {}  # code object -> its tracer, or None once nothing is left
-        line_traced = set()  # code objects with a bare raise not yet run
 
         def tracer(code):
             by_line = statements.get(os.path.abspath(code.co_filename))
@@ -84,18 +84,14 @@ class RaiseTracer:
             pending = {by_line[line] for _, _, line in code.co_lines() if line in by_line}
             if not pending:
                 return None
-            if any(s.bare for s in pending):
-                line_traced.add(code)
 
             def local(frame, event, arg):
                 # a raise statement raises at its first line, a call inside
                 # it at a line of its span: both mean the statement ran
                 statement = by_line.get(frame.f_lineno)
-                if statement in pending and event in ("exception", "line"):
+                if statement in pending and event == "exception":
                     pending.discard(statement)
                     self.executed.add(statement)
-                    if not any(s.bare for s in pending):
-                        line_traced.discard(code)
                     if not pending:
                         local_of[code] = None
                 return local
@@ -109,7 +105,7 @@ class RaiseTracer:
             except KeyError:
                 local = local_of[code] = tracer(code)
             if local is not None:
-                frame.f_trace_lines = code in line_traced
+                frame.f_trace_lines = False
             return local
 
         self.trace = trace

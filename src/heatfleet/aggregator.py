@@ -124,15 +124,15 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
                            cfg: ThermostatConfig) -> PowerDensityPair:
     """Vectorized PDDF construction from aligned report arrays.
 
-    The checks below (1-d reports, at least one, rated powers > 0 with a
-    finite sum, every index in [0, R]) imply every invariant
+    The checks below (1-d reports of one length, at least one, rated powers > 0
+    with a finite sum, every index in [0, R]) imply every invariant
     PowerDensityPair validates, so the pair is built without validating it again.
     """
     n = np.asarray(machine_state)
     m = np.asarray(temperature_index)
     p = np.asarray(rated_power, dtype=float)
-    if not n.ndim == m.ndim == p.ndim == 1:
-        raise ValueError("report arrays must be 1-d, got shapes "
+    if not (n.ndim == 1 and n.shape == m.shape == p.shape):  # no report broadcasts
+        raise ValueError("report arrays must be 1-d and of one length, got shapes "
                          f"{n.shape}, {m.shape} and {p.shape}")
     if n.size == 0:
         raise ValueError("cannot build a PDDF from zero reports")

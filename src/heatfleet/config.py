@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -50,8 +51,9 @@ __all__ = [
 
 OUTPUT_DIR_ENV = "HEATFLEET_OUT"
 
-SCENARIO_DEFAULT_HORIZON = {"tracking": 400, "wind": 1440}
-SCENARIO_DEFAULT_COUNT = {"tracking": 1000, "wind": 2000}
+# the wind scenario's defaults of clock.horizon and population.count; a tracking
+# config takes the SimulationClock and PopulationSpec defaults
+WIND_DEFAULTS = {"clock": ("horizon", 1440), "population": ("count", 2000)}
 
 # the documented JSON key of every domain field whose name differs from it;
 # None marks a field that the run sets, which no file or manifest holds
@@ -89,6 +91,8 @@ class RunConfig:
     diagnostics: bool = False
 
     def __post_init__(self) -> None:
+        if self.scenario not in ("tracking", "wind"):
+            raise ValueError(f"scenario must be 'tracking' or 'wind', got {self.scenario!r}")
         if self.seed < 0:  # numpy seeds only from non-negative integers
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -202,21 +206,12 @@ def _encode(value):
 
 def config_from_dict(data: dict) -> RunConfig:
     """Validate a raw JSON object and resolve all defaults into a RunConfig."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root: expected a JSON object")
-    scenario = data.get("scenario")
-    if scenario is None:
-        scenario = "tracking"
-    if scenario not in ("tracking", "wind"):
-        raise ConfigError(f"scenario: must be 'tracking' or 'wind', got {scenario!r}")
-    # the scenario sets the defaults of clock.horizon and population.count
-    data = dict(data)
-    for section, key, default in (("clock", "horizon", SCENARIO_DEFAULT_HORIZON[scenario]),
-                                  ("population", "count", SCENARIO_DEFAULT_COUNT[scenario])):
-        raw = data.get(section)
-        raw = {} if raw is None else raw
-        if isinstance(raw, dict) and raw.get(key) is None:
-            data[section] = {**raw, key: default}
+    if isinstance(data, dict) and data.get("scenario") == "wind":
+        data = dict(data)
+        for section, (key, default) in WIND_DEFAULTS.items():
+            raw = data.get(section)
+            if raw is None or (isinstance(raw, dict) and raw.get(key) is None):
+                data[section] = {**(raw or {}), key: default}
     return _decode(RunConfig, data, "")
 
 
@@ -246,8 +241,8 @@ def resolve_output_dir(config: RunConfig, out_dir=None) -> Path:
     if out_dir is None:
         out_dir = config.output_dir or os.environ.get(OUTPUT_DIR_ENV) or "heatfleet_out"
     out = Path(out_dir)
-    if not os.path.isdir(out):  # one stat when it exists; walk up only when it does not
-        existing = next(p for p in (out, *out.parents) if p.exists())
-        if not existing.is_dir():
-            raise NotADirectoryError(f"output directory {out}: {existing} is not a directory")
+    # out, else its nearest existing ancestor: the parents are made only as needed
+    existing = next(p for p in itertools.chain([out], out.parents) if p.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(f"output directory {out}: {existing} is not a directory")
     return out

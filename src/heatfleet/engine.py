@@ -360,7 +360,7 @@ class Simulation:
         self.inputs = scenario.prepare(clock, self.rng_scenario)
 
     def run_interval(self) -> None:
-        """Execute one full report/decide/actuate cycle and record it in the columns."""
+        """Run interval k's report/decide/actuate cycle and record it; run() names k in errors."""
         pop = self.population
         cfg = pop.thermostat
         k = self.k
@@ -380,8 +380,7 @@ class Simulation:
         max_theta = float(np.maximum.reduce(pop.indoor_temp))
         if not (math.isfinite(min_theta) and math.isfinite(max_theta)):
             unit = int(np.flatnonzero(~np.isfinite(pop.indoor_temp))[0])
-            raise EngineError(f"interval {k}: indoor temperature of unit {unit} "
-                              f"is {pop.indoor_temp[unit]!r}")
+            raise EngineError(f"indoor temperature of unit {unit} is {pop.indoor_temp[unit]!r}")
 
         # (2) quantized power-state reports
         m = quantize(pop.indoor_temp, cfg, out=self._index, work=self._work)
@@ -408,11 +407,9 @@ class Simulation:
         # (7) realized aggregate and bookkeeping
         phi_realized = float(np.add.reduce(pop.rated_power.compress(n_new.view(bool)))
                              / self.installed_capacity)
-        if abs(phi_realized - decision.phi_predicted) > 1e-9:
-            raise EngineError(
-                f"interval {k}: realized capacity factor {phi_realized!r} "
-                f"deviates from prediction {decision.phi_predicted!r}"
-            )
+        if not abs(phi_realized - decision.phi_predicted) <= 1e-9:  # a NaN fails too
+            raise EngineError(f"realized capacity factor {phi_realized!r} "
+                              f"deviates from prediction {decision.phi_predicted!r}")
         heatpump_kw = self.installed_capacity * phi_realized
         # one row per name of _FLOAT_COLUMNS, in its order; sum/size is ndarray.mean
         self._floats[:, k] = (
@@ -433,14 +430,13 @@ class Simulation:
         self.k += 1
 
     def run(self) -> ScenarioSeries:
+        """Run the intervals left in the horizon and return the series. An
+        Exception in an interval is raised as an EngineError naming that interval."""
         while self.k < self.clock.horizon:
-            k = self.k
             try:
                 self.run_interval()
-            except EngineError:
-                raise
-            except Exception as exc:
-                raise EngineError(f"interval {k}: {exc}") from exc
+            except Exception as exc:  # k counts only completed intervals: k is the failing one
+                raise EngineError(f"interval {self.k}: {exc}") from exc
         return self.series()
 
     def series(self) -> ScenarioSeries:

@@ -14,4 +14,4 @@ class SeriesError(HeatfleetError):
 
 
 class EngineError(HeatfleetError):
-    """Simulation failure; message carries the interval index."""
+    """Simulation failure; Simulation.run alone prefixes the failing interval, "interval k: "."""

@@ -48,10 +48,9 @@ class ThermostatConfig:
             raise ValueError(
                 f"resolution must be >= 8 and divisible by 8, got {self.resolution}"
             )
-        if not self.grid_step > 0.0:
-            raise ValueError(
-                f"deadband {self.deadband!r} is too small for resolution {self.resolution}"
-            )
+        if not 0.0 < self.grid_step < math.inf:  # 2 * deadband overflows past 8.99e307
+            raise ValueError(f"deadband {self.deadband!r} gives grid step {self.grid_step!r} "
+                             f"at resolution {self.resolution}, not in (0, inf)")
 
     @cached_property
     def grid_step(self) -> float:

@@ -92,6 +92,17 @@ class TestBuildPddf:
         with pytest.raises(ValueError, match="report arrays must be 1-d"):
             build_pddf_from_arrays(reports["state"], reports["index"], reports["power"], CFG8)
 
+    @pytest.mark.parametrize("length", [1, 3])
+    @pytest.mark.parametrize("bad", ["state", "index", "power"])
+    def test_misaligned_reports_rejected(self, bad, length):
+        # a one-entry state or index array would broadcast over the whole
+        # fleet: [1] with four units gave a capacity factor of 1.0
+        reports = {"state": np.array([1, 0, 0, 1]), "index": np.array([2, 3, 4, 5]),
+                   "power": np.array([4.0, 5.0, 3.0, 3.5])}
+        reports[bad] = reports[bad][:length]
+        with pytest.raises(ValueError, match="report arrays must be 1-d and of one length"):
+            build_pddf_from_arrays(reports["state"], reports["index"], reports["power"], CFG8)
+
     def test_index_out_of_range_rejected(self):
         # an on-state unit at -1 would land in the last off bin if not rejected
         for index in (9, -1):

@@ -333,6 +333,22 @@ class TestRunInterval:
             run_simulation(degenerate_spec(count=20, seed=33), TrackingScenario(burn_in=0),
                            SimulationClock(1.0, 10))
 
+    def test_nan_prediction_fails_naming_the_interval(self, monkeypatch):
+        # abs(realized - nan) > 1e-9 is False: a NaN prediction passed that form
+        select = aggregator.select_setpoint
+        calls = []
+
+        def nan_from_interval_3(pddf, target):
+            calls.append(None)
+            decision = select(pddf, target)
+            return decision if len(calls) <= 3 else decision._replace(phi_predicted=math.nan)
+
+        monkeypatch.setattr(aggregator, "select_setpoint", nan_from_interval_3)
+        with pytest.raises(EngineError, match=r"^interval 3: realized capacity factor .* "
+                                              r"deviates from prediction nan$"):
+            run_simulation(degenerate_spec(count=20, seed=33), TrackingScenario(burn_in=0),
+                           SimulationClock(1.0, 10))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_temperature_fails_at_the_thermal_step(self, bad):
         pop = generate_population(PopulationSpec(count=50, seed=34))

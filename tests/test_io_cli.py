@@ -75,8 +75,15 @@ class TestLoadConfig:
             config_from_dict(load_raw(write_config(tmp_path, {"scenario": "tracking", "typo": 1})))
 
     def test_bad_scenario_rejected(self):
-        with pytest.raises(ConfigError, match="scenario"):
+        with pytest.raises(ConfigError, match="^config root: scenario must be 'tracking' or "
+                                              "'wind', got 'cooling'$"):
             config_from_dict({"scenario": "cooling"})
+
+    def test_run_config_checks_its_scenario(self):
+        # built in code, not only through config_from_dict
+        with pytest.raises(ValueError, match="^scenario must be 'tracking' or 'wind', "
+                                             "got 'cooling'$"):
+            RunConfig(scenario="cooling")
 
     def test_wind_burn_in_floor(self):
         with pytest.raises(ConfigError, match="burn_in"):
@@ -192,6 +199,9 @@ INVALID_AT_LOAD = [
     ("wind.nominal", {"wind": {"nominal": {"anchors": [[0, 2500], [24, 3500]]}}}),
     ("wind.nominal", {"wind": {"nominal": {"off_peak_kw": 0}}}),
     ("wind.turbine", {"wind": {"turbine": {"count": -1}}}),
+    # 2 * deadband overflows, so the grid step is inf: a run failed only
+    # after 100 resampling rounds, blamed on population
+    ("thermostat", {"thermostat": {"deadband_c": 1e308}}),
 ]
 
 # the domain fields that the run sets: they have no JSON key
@@ -210,7 +220,7 @@ def test_invalid_value_rejected_at_load(tmp_path, capsys, path, data):
 
 
 def test_config_root_must_be_an_object(tmp_path, capsys):
-    with pytest.raises(ConfigError, match="^config root: expected a JSON object"):
+    with pytest.raises(ConfigError, match="^config root: expected an object"):
         config_from_dict([])
     config = write_config(tmp_path, [{"scenario": "wind"}])
     assert main(["wind", "--config", str(config), "--out", str(tmp_path / "w")]) == 2

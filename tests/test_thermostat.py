@@ -149,6 +149,12 @@ def test_config_invariants():
             ThermostatConfig(**bad)
     with pytest.raises(ValueError):  # grid step 2 * deadband / R underflows to 0
         ThermostatConfig(deadband=5e-324)
+    # 2 * deadband overflows to inf from deadband 2**1023 on; just below it
+    # the grid step is finite
+    for huge in (1e308, 2.0**1023):
+        with pytest.raises(ValueError, match="gives grid step inf at resolution 1000"):
+            ThermostatConfig(deadband=huge)
+    assert math.isfinite(ThermostatConfig(deadband=math.nextafter(2.0**1023, 0.0)).grid_step)
     cfg = ThermostatConfig(setpoint=21.0, deadband=2.0, resolution=64)
     assert cfg.grid_step * cfg.resolution == pytest.approx(2 * cfg.deadband, abs=0)
     assert (cfg.ms_min, cfg.ms_max, cfg.switch_offset) == (24, 40, 16)
