@@ -128,6 +128,9 @@ def _instance(kind: type, expected: str):
     return decode
 
 
+_object = _instance(dict, "an object")  # every config section, the root included
+
+
 def _pairs(value, path: str) -> tuple[tuple[float, float], ...]:
     """wind.nominal.anchors: a JSON list of [hour, kw] pairs."""
     if not isinstance(value, list):
@@ -174,8 +177,7 @@ def _fields(cls) -> dict[str, tuple[str, typing.Callable]]:
 def _decode(cls, raw, path: str):
     """Check raw against the fields of cls and build cls through its constructor."""
     where = path or "config root"
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected an object")
+    _object(raw, where)
     fields = _fields(cls)
     unknown = raw.keys() - fields.keys()
     if unknown:
@@ -227,9 +229,7 @@ def load_raw(path) -> dict:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from exc
     if isinstance(data, dict) and "config" in data and "meta" in data:
         data = data["config"]
-    if not isinstance(data, dict):
-        raise ConfigError(f"{p}: config root must be a JSON object")
-    wind = data.get("wind")
+    wind = _object(data, f"{p}: config root").get("wind")
     if isinstance(wind, dict) and isinstance(wind.get("series_file"), str):
         wind["series_file"] = str(p.parent.absolute() / wind["series_file"])
     return data

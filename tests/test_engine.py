@@ -3,7 +3,10 @@
 import dataclasses
 import inspect
 import math
+import os
 import re
+import threading
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -25,7 +28,7 @@ from heatfleet.engine import (
     run_simulation,
 )
 from heatfleet.errors import ConfigError, EngineError
-from heatfleet.scenarios import TrackingScenario, WindScenario
+from heatfleet.scenarios import SaturationScenario, TrackingScenario, WindScenario
 from heatfleet.thermostat import ThermostatConfig, quantize
 
 
@@ -586,6 +589,141 @@ def test_whole_run_invariants(run):
     identity = series.nominal_kw + series.heatpump_kw - series.wind_kw
     assert series.total_kw.tobytes() == identity.tobytes()
     assert ((series.phi >= 0.0) & (series.phi <= 1.0)).all()
+
+
+two_cpus = pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: {pid})(0)) < 2,
+                              reason="the noise is drawn ahead only where two CPUs are usable")
+
+
+def count_thread_starts(mp):
+    """A list that gets one entry per threading.Thread started while mp is active."""
+    starts = []
+    start = threading.Thread.start
+
+    def counted(thread):
+        starts.append(thread.name)
+        start(thread)
+
+    mp.setattr(threading.Thread, "start", counted)
+    return starts
+
+
+class NoiseStream:
+    """Stands in for rng_noise: each draw waits delay seconds, and draw number
+    fail (counted from 1, on either path) raises instead of drawing."""
+
+    def __init__(self, rng, fail=0, delay=0.0):
+        self.rng, self.fail, self.delay, self.calls = rng, fail, delay, 0
+
+    def _draw(self, method, *args, **kwargs):
+        self.calls += 1
+        time.sleep(self.delay)
+        if self.calls == self.fail:
+            raise RuntimeError(f"draw {self.calls} failed")
+        return getattr(self.rng, method)(*args, **kwargs)
+
+    def normal(self, *args):
+        return self._draw("normal", *args)
+
+    def standard_normal(self, out):
+        return self._draw("standard_normal", out=out)
+
+
+@st.composite
+def draw_ahead_runs(draw):
+    """Up to 2,000 units and 30 intervals under tracking, saturation or synthetic wind."""
+    burn_in = draw(st.integers(2, 10))
+    scenario = draw(st.sampled_from([TrackingScenario(burn_in=burn_in),
+                                     SaturationScenario(burn_in=burn_in),
+                                     WindScenario(burn_in=burn_in)]))
+    spec = PopulationSpec(count=draw(st.sampled_from([2000, 1]) | st.integers(1, 2000)),
+                          process_noise_sd=draw(st.sampled_from([0.0, 0.01, 0.3])),
+                          seed=draw(st.integers(0, 2**32 - 1)))
+    return spec, scenario, SimulationClock(1.0, draw(st.integers(0, 30)))
+
+
+@two_cpus
+@settings(max_examples=100, deadline=None)
+@given(draw_ahead_runs())
+def test_drawing_ahead_keeps_every_bit(run):
+    spec, scenario, clock = run
+    with pytest.MonkeyPatch.context() as mp:
+        starts = count_thread_starts(mp)
+        inline = run_simulation(spec, scenario, clock)
+        assert starts == []
+        mp.setattr(engine, "_DRAW_AHEAD_UNITS", 0)
+        ahead = run_simulation(spec, scenario, clock)
+    # one worker per interval but the last; without noise there is nothing to draw
+    assert len(starts) == (max(clock.horizon - 1, 0) if spec.process_noise_sd else 0)
+    for f in dataclasses.fields(ScenarioSeries):
+        a, b = getattr(inline, f.name), getattr(ahead, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize("below, cpus, starts", [(0, {0, 1}, 2), (1, {0, 1}, 0), (0, {0}, 0),
+                                                 (0, None, 0)])
+def test_draws_ahead_from_the_threshold_where_two_cpus_are_usable(monkeypatch, below, cpus,
+                                                                   starts):
+    # None: a platform whose os module cannot list the usable CPUs draws inline
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    started = count_thread_starts(monkeypatch)
+    spec = PopulationSpec(count=engine._DRAW_AHEAD_UNITS - below, seed=73)
+    run_simulation(spec, TrackingScenario(burn_in=1), SimulationClock(1.0, 3))
+    assert len(started) == starts
+
+
+def slow_simulation(monkeypatch, scenario, horizon, **stream):
+    """A 40-unit run that draws ahead, with a NoiseStream whose draws take 20 ms."""
+    monkeypatch.setattr(engine, "_DRAW_AHEAD_UNITS", 0)
+    spec = PopulationSpec(count=40, seed=71)
+    sim = Simulation(generate_population(spec), scenario, SimulationClock(1.0, horizon), spec.seed)
+    sim.rng_noise = NoiseStream(sim.rng_noise, delay=0.02, **stream)
+    return sim
+
+
+@two_cpus
+def test_failed_interval_leaves_no_thread_running(monkeypatch):
+    # the worker drawing interval 4's noise is still asleep when interval 3 raises
+    sim = slow_simulation(monkeypatch, ExplodingScenario(burn_in=0), 10)
+    before = threading.enumerate()
+    with pytest.raises(EngineError, match="^interval 3: scenario blew up$"):
+        sim.run()
+    assert threading.enumerate() == before
+    assert sim.rng_noise.calls == 5
+
+
+@two_cpus
+def test_worker_joined_before_each_interval_returns(monkeypatch):
+    sim = slow_simulation(monkeypatch, TrackingScenario(burn_in=2), 6)
+    before = threading.enumerate()
+    for _ in range(6):
+        sim.run_interval()
+        assert threading.enumerate() == before
+    reference = run_simulation(PopulationSpec(count=40, seed=71), TrackingScenario(burn_in=2),
+                               SimulationClock(1.0, 6))
+    assert sim.series().mean_theta.tobytes() == reference.mean_theta.tobytes()
+
+
+@two_cpus
+@pytest.mark.parametrize("ahead", [False, True])
+@pytest.mark.parametrize("fail", [1, 2, 5])
+def test_failed_draw_names_the_interval_it_was_for(monkeypatch, ahead, fail):
+    # draw j is interval j - 1's, inline or on the worker, which raises it after interval j - 2
+    if ahead:
+        monkeypatch.setattr(engine, "_DRAW_AHEAD_UNITS", 0)
+    spec = PopulationSpec(count=40, seed=72)
+    sim = Simulation(generate_population(spec), TrackingScenario(burn_in=2),
+                     SimulationClock(1.0, 8), spec.seed)
+    sim.rng_noise = NoiseStream(sim.rng_noise, fail=fail)
+    with pytest.raises(EngineError, match=rf"^interval {fail - 1}: draw {fail} failed$"):
+        sim.run()
+    assert sim.k == fail - 1
 
 
 # the names the README's Library section documents: the package's only re-exports

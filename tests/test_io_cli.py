@@ -224,7 +224,7 @@ def test_config_root_must_be_an_object(tmp_path, capsys):
         config_from_dict([])
     config = write_config(tmp_path, [{"scenario": "wind"}])
     assert main(["wind", "--config", str(config), "--out", str(tmp_path / "w")]) == 2
-    assert f"config error: {config}: config root must be a JSON object" in capsys.readouterr().err
+    assert f"config error: {config}: config root: expected an object, got [" in capsys.readouterr().err
     assert not (tmp_path / "w").exists()
 
 
