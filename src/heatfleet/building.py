@@ -38,7 +38,9 @@ def thermal_step(theta_a, machine_state, decay, lift, outdoor_temp, noise=0.0, o
     may be theta_a itself; work (float64) holds the equilibria and may not
     overlap theta_a or out. By default each is a new array.
     """
-    theta_eq = np.multiply(machine_state, lift, out=work)
+    if work is not None:  # one cast, then a float64 multiply: a mixed one casts in chunks
+        np.copyto(work, machine_state)
+    theta_eq = np.multiply(machine_state if work is None else work, lift, out=work)
     theta_eq += outdoor_temp
     t = np.subtract(theta_a, theta_eq, out=out)
     t *= decay

@@ -13,10 +13,10 @@ generation, per-interval process noise (drawn in building-id order), and the
 scenario, the last two spawned by the Simulation. The scenario stream does not
 depend on the fleet size, so one seed gives any fleet the same weather and targets.
 
-A fleet of 30,000 units or more (_DRAW_AHEAD_UNITS) with noise, where two CPUs
-are usable, draws interval k+1's noise on a worker thread while interval k runs,
-joined before run_interval returns or raises; the outputs keep every bit (see
-_draw). A tracer of rng_noise.normal sees no draw there, the join as interval time.
+In run(), a fleet of _DRAW_AHEAD_UNITS or more with noise, where two CPUs are usable,
+draws interval k+1's noise on one worker thread while interval k runs, and waits for it
+before run_interval returns or raises: between intervals the worker is alive but idle,
+and run() joins it. Outputs keep every bit (see _draw); rng_noise.normal is not called.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 _RESAMPLE_ROUNDS = 100
-_DRAW_AHEAD_UNITS = 30_000  # a thread start costs 0.1-0.2 ms: smaller fleets draw inline
+_DRAW_AHEAD_UNITS = 10_000  # below it, handing the draw to a worker costs more than it saves
 
 
 @dataclass(frozen=True)
@@ -368,6 +368,7 @@ class Simulation:
         ahead = population.process_noise_sd > 0.0 and len(population) >= _DRAW_AHEAD_UNITS
         cpus = getattr(os, "sched_getaffinity", lambda pid: {pid})(0)  # one if not listed
         self._noise = np.empty((2, len(population))) if ahead and len(cpus) >= 2 else None
+        self._pool, self._drawn = None, 0  # run()'s worker; intervals whose noise is drawn
         self.inputs = scenario.prepare(clock, self.rng_scenario)
 
     def run_interval(self) -> None:
@@ -377,13 +378,14 @@ class Simulation:
             # passed inline, the noise draw is freed as soon as the step returns
             return self._interval(self.rng_noise.normal(0.0, sd, len(self.population))
                                   if sd > 0.0 else 0.0)
-        from concurrent.futures import ThreadPoolExecutor  # loaded only by a run that draws ahead
-        if k == 0:  # every later interval's noise is drawn ahead
-            _draw(self.rng_noise, self._noise[0], sd)
-        with ThreadPoolExecutor(1) as pool:  # its exit joins the worker, also on a raise
-            ahead = (pool.submit(_draw, self.rng_noise, self._noise[1 - k % 2], sd)
-                     if k + 1 < self.clock.horizon else None)
+        if self._drawn <= k:  # not drawn ahead: outside run() every interval draws inline
+            _draw(self.rng_noise, self._noise[k % 2], sd)
+        ahead = (self._pool.submit(_draw, self.rng_noise, self._noise[1 - k % 2], sd)
+                 if self._pool is not None and k + 1 < self.clock.horizon else None)
+        try:
             self._interval(self._noise[k % 2])
+        finally:  # waits for the draw: the worker is idle at every interval boundary
+            self._drawn = k + 1 + (ahead is not None and ahead.exception() is None)
         if ahead is not None:
             ahead.result()  # a failed draw raises once interval k is done: run() names k + 1
 
@@ -457,11 +459,17 @@ class Simulation:
     def run(self) -> ScenarioSeries:
         """Run the intervals left in the horizon and return the series. An
         Exception in an interval is raised as an EngineError naming that interval."""
-        while self.k < self.clock.horizon:
-            try:
+        if self._noise is not None:  # one worker draws ahead for the whole run
+            from concurrent.futures import ThreadPoolExecutor  # loaded only where it is used
+            self._pool = ThreadPoolExecutor(1)
+        try:
+            while self.k < self.clock.horizon:
                 self.run_interval()
-            except Exception as exc:  # k counts only completed intervals: k is the failing one
-                raise EngineError(f"interval {self.k}: {exc}") from exc
+        except Exception as exc:  # k counts only completed intervals: k is the failing one
+            raise EngineError(f"interval {self.k}: {exc}") from exc
+        finally:
+            if self._pool is not None:  # joins the worker, also on a raise
+                self._pool = self._pool.shutdown()  # which returns None
         return self.series()
 
     def series(self) -> ScenarioSeries:

@@ -84,12 +84,12 @@ def quantize(theta_a, cfg: ThermostatConfig, out=None, work=None):
     x = np.subtract(theta_a, cfg.setpoint, dtype=float, out=work)
     x += cfg.deadband
     x /= cfg.grid_step
-    # floor(x + 0.5) is half away from zero for x >= 0; every x < 0 clamps to 0
+    # clipped to [0, R], x + 0.5 truncates to its floor: half away from zero for x >= 0,
+    # and every x < 0 gives 0. ndarray.clip is what np.clip calls, minus its dispatch
     x += 0.5
-    # ndarray.clip is what np.clip calls, minus its dispatch; one pass over x
-    np.floor(x, out=x).clip(0.0, cfg.resolution, out=x)
+    x.clip(0.0, cfg.resolution, out=x)
     m = np.empty(x.shape, np.int64) if out is None else out
-    np.copyto(m, x, casting="unsafe")  # x.astype(np.int64), into m
+    np.copyto(m, x, casting="unsafe")  # x.astype(np.int64), truncating, into m
     return m
 
 

@@ -610,17 +610,22 @@ def count_thread_starts(mp):
 
 class NoiseStream:
     """Stands in for rng_noise: each draw waits delay seconds, and draw number
-    fail (counted from 1, on either path) raises instead of drawing."""
+    fail (counted from 1, on either path) raises instead of drawing. busy is
+    True while a draw is in flight."""
 
     def __init__(self, rng, fail=0, delay=0.0):
-        self.rng, self.fail, self.delay, self.calls = rng, fail, delay, 0
+        self.rng, self.fail, self.delay, self.calls, self.busy = rng, fail, delay, 0, False
 
     def _draw(self, method, *args, **kwargs):
         self.calls += 1
-        time.sleep(self.delay)
-        if self.calls == self.fail:
-            raise RuntimeError(f"draw {self.calls} failed")
-        return getattr(self.rng, method)(*args, **kwargs)
+        self.busy = True
+        try:
+            time.sleep(self.delay)
+            if self.calls == self.fail:
+                raise RuntimeError(f"draw {self.calls} failed")
+            return getattr(self.rng, method)(*args, **kwargs)
+        finally:
+            self.busy = False
 
     def normal(self, *args):
         return self._draw("normal", *args)
@@ -653,8 +658,8 @@ def test_drawing_ahead_keeps_every_bit(run):
         assert starts == []
         mp.setattr(engine, "_DRAW_AHEAD_UNITS", 0)
         ahead = run_simulation(spec, scenario, clock)
-    # one worker per interval but the last; without noise there is nothing to draw
-    assert len(starts) == (max(clock.horizon - 1, 0) if spec.process_noise_sd else 0)
+    # one worker per run, started by the first draw ahead; without noise nothing is drawn
+    assert len(starts) == (1 if spec.process_noise_sd and clock.horizon >= 2 else 0)
     for f in dataclasses.fields(ScenarioSeries):
         a, b = getattr(inline, f.name), getattr(ahead, f.name)
         if isinstance(a, np.ndarray):
@@ -663,7 +668,7 @@ def test_drawing_ahead_keeps_every_bit(run):
             assert a == b, f.name
 
 
-@pytest.mark.parametrize("below, cpus, starts", [(0, {0, 1}, 2), (1, {0, 1}, 0), (0, {0}, 0),
+@pytest.mark.parametrize("below, cpus, starts", [(0, {0, 1}, 1), (1, {0, 1}, 0), (0, {0}, 0),
                                                  (0, None, 0)])
 def test_draws_ahead_from_the_threshold_where_two_cpus_are_usable(monkeypatch, below, cpus,
                                                                    starts):
@@ -698,16 +703,74 @@ def test_failed_interval_leaves_no_thread_running(monkeypatch):
     assert sim.rng_noise.calls == 5
 
 
+def same_series(a, b):
+    return all(getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes()
+               for f in dataclasses.fields(ScenarioSeries)
+               if isinstance(getattr(a, f.name), np.ndarray))
+
+
+def fleet_simulation(horizon=12):
+    spec = PopulationSpec(count=200, seed=74)
+    return Simulation(generate_population(spec), TrackingScenario(burn_in=3),
+                      SimulationClock(1.0, horizon), spec.seed)
+
+
 @two_cpus
-def test_worker_joined_before_each_interval_returns(monkeypatch):
-    sim = slow_simulation(monkeypatch, TrackingScenario(burn_in=2), 6)
-    before = threading.enumerate()
-    for _ in range(6):
+def test_run_interval_alone_draws_inline_with_the_bits_of_run(monkeypatch):
+    monkeypatch.setattr(engine, "_DRAW_AHEAD_UNITS", 0)
+    starts = count_thread_starts(monkeypatch)
+    sim = fleet_simulation()
+    for _ in range(12):
         sim.run_interval()
-        assert threading.enumerate() == before
-    reference = run_simulation(PopulationSpec(count=40, seed=71), TrackingScenario(burn_in=2),
-                               SimulationClock(1.0, 6))
-    assert sim.series().mean_theta.tobytes() == reference.mean_theta.tobytes()
+    assert starts == []
+    reference = fleet_simulation().run()
+    assert len(starts) == 1 and same_series(sim.series(), reference)
+
+
+@two_cpus
+@pytest.mark.parametrize("alone", [1, 2, 5, 11, 12])
+def test_run_after_run_interval_calls_keeps_the_bits_of_run(monkeypatch, alone):
+    monkeypatch.setattr(engine, "_DRAW_AHEAD_UNITS", 0)
+    sim = fleet_simulation()
+    for _ in range(alone):
+        sim.run_interval()
+    assert same_series(sim.run(), fleet_simulation().run())
+
+
+class ExplodingWhileDrawing(ExplodingScenario):
+    """ExplodingScenario whose interval 3 raises once interval 4's draw is under way."""
+
+    def phi_target(self, sim, phi_now, region):
+        deadline = time.monotonic() + 5.0
+        while sim.k == 3 and not sim.rng_noise.busy and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return super().phi_target(sim, phi_now, region)
+
+
+@two_cpus
+@pytest.mark.parametrize("scenario, horizon", [(TrackingScenario(burn_in=2), 6),
+                                               (ExplodingWhileDrawing(burn_in=0), 10)])
+def test_no_draw_is_in_flight_when_run_interval_returns_or_raises(monkeypatch, scenario,
+                                                                  horizon):
+    # the wrapper stands where a benchmark probes the host between intervals
+    run_interval, in_flight = Simulation.run_interval, []
+
+    def checked(sim):
+        try:
+            return run_interval(sim)
+        finally:
+            in_flight.append(sim.rng_noise.busy)
+
+    monkeypatch.setattr(Simulation, "run_interval", checked)
+    sim = slow_simulation(monkeypatch, scenario, horizon)
+    before = threading.enumerate()
+    try:
+        sim.run()
+    except EngineError:
+        assert sim.k == 3
+    assert in_flight == [False] * (sim.k + (sim.k < horizon))
+    assert sim.rng_noise.calls == min(sim.k + 2, horizon)
+    assert threading.enumerate() == before
 
 
 @two_cpus

@@ -190,6 +190,29 @@ def test_quantize_into_buffers_matches_allocating_call(data):
         assert same_bits(aliased, expected)
 
 
+def quantize_floor_clip(theta, cfg):
+    """quantize's arithmetic with a floor pass before the clip and the cast."""
+    x = np.asarray(theta, dtype=float) - cfg.setpoint + cfg.deadband
+    x = x / cfg.grid_step + 0.5
+    return np.clip(np.floor(x), 0.0, cfg.resolution).astype(np.int64)
+
+
+@SETTINGS
+@given(st.data())
+def test_quantize_matches_floor_clip_cast(data):
+    cfg = data.draw(thermostats())
+    # x + 0.5 in (-1, 0), where truncation and floor part before the clip
+    below = st.floats(-1.0, 0.0, exclude_min=True, exclude_max=True).map(
+        lambda y: cfg.setpoint - cfg.deadband + (y - 0.5) * cfg.grid_step)
+    # x + 0.5 an exact half-integer; temperatures() makes x one
+    halves = st.integers(-cfg.resolution - 3, cfg.resolution + 3).map(
+        lambda k: cfg.setpoint - cfg.deadband + k * cfg.grid_step)
+    extra = data.draw(st.lists(st.one_of(below, halves), max_size=16))
+    theta = np.concatenate([data.draw(temperatures(cfg)), extra, [np.inf, -np.inf, np.nan]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(quantize(theta, cfg), quantize_floor_clip(theta, cfg))
+
+
 @SETTINGS
 @given(st.data())
 def test_hysteresis_vector_matches_scalar_and_oracle(data):
@@ -340,6 +363,38 @@ def test_thermal_step_into_out_matches_allocating_call(data):
     # the engine's form: the temperatures updated in place
     got = thermal_step(theta, n, decay, lift, outdoor, noise, out=theta, work=work)
     assert got is theta and same_bits(theta, expected)
+
+
+def thermal_step_mixed(theta, n, decay, lift, outdoor, noise):
+    """thermal_step's arithmetic with n times lift in one mixed-dtype multiply."""
+    theta_eq = np.multiply(n, lift)
+    theta_eq += outdoor
+    t = np.subtract(theta, theta_eq)
+    t *= decay
+    t += theta_eq
+    t += noise
+    return t
+
+
+@SETTINGS
+@given(st.data())
+def test_thermal_step_cast_matches_mixed_multiply(data):
+    shape = data.draw(st.sampled_from([(), (1,), (7,), (64,)]))  # (): numpy scalars
+
+    def floats(lo, hi):
+        return data.draw(hnp.arrays(np.float64, shape, elements=st.floats(lo, hi)))[()]
+
+    theta, decay, lift = floats(-60.0, 60.0), floats(0.0, 1.0), floats(0.0, 100.0)
+    dtype = data.draw(st.sampled_from([np.int8, np.bool_, np.float64]))
+    n = data.draw(hnp.arrays(np.int8, shape, elements=st.integers(0, 1))).astype(dtype)[()]
+    outdoor = data.draw(st.floats(-40.0, 40.0))
+    noise = data.draw(st.sampled_from([0.0, -0.0]) | hnp.arrays(
+        np.float64, shape, elements=st.floats(-1.0, 1.0)))
+    expected = thermal_step_mixed(theta, n, decay, lift, outdoor, noise)
+    # garbage the kernel overwrites, or None for a new array
+    out, work = (data.draw(st.none() | hnp.arrays(np.float64, shape)) for _ in range(2))
+    assert same_bits(thermal_step(theta, n, decay, lift, outdoor, noise, out=out, work=work),
+                     expected)
 
 
 # +0.0 dominates real densities; the sampled values are the edge cases of float64
