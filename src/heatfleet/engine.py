@@ -13,10 +13,9 @@ generation, per-interval process noise (drawn in building-id order), and the
 scenario, the last two spawned by the Simulation. The scenario stream does not
 depend on the fleet size, so one seed gives any fleet the same weather and targets.
 
-In run(), a fleet of _DRAW_AHEAD_UNITS or more with noise, where two CPUs are usable,
-draws interval k+1's noise on one worker thread while interval k runs, and waits for it
-before run_interval returns or raises: between intervals the worker is alive but idle,
-and run() joins it. Outputs keep every bit (see _draw); rng_noise.normal is not called.
+In run(), a fleet of _DRAW_AHEAD_UNITS or more with noise, where two CPUs are usable, draws
+interval k+1's noise on a worker thread while interval k runs, bit for bit (see _draw); the
+interval waits for it. Other draws, a run's first among them, are inline rng_noise.normal's.
 """
 
 from __future__ import annotations
@@ -331,12 +330,15 @@ class Simulation:
     seed is the master seed, so Simulation(generate_population(spec), scenario,
     clock, spec.seed).run() returns what run_simulation(spec, scenario, clock) does.
     The kernels write into per-run buffers; population.indoor_temp is updated in place.
+    An instance whose run() or run_interval() raised is spent: its state is mid-interval.
 
     The engine calls scenario.phi_target(sim, phi_now, region) with itself as
     sim from interval scenario.burn_in on. A scenario may read k (the interval
     being decided), inputs, the columns before k and installed_capacity; it
     may change only rng_scenario and scenario_state, a dict each run starts empty.
     """
+
+    _pool = _rows = _ahead = None  # while run() draws ahead: worker, noise rows, pending draw
 
     def __init__(self, population: Population, scenario, clock: SimulationClock,
                  seed: int, diagnostic_sink=None):
@@ -364,30 +366,22 @@ class Simulation:
         # workspace: the equilibria, then quantize's arithmetic; the indices
         self._work = np.empty(len(population))
         self._index = np.empty(len(population), dtype=np.int64)
-        # drawing ahead, interval k reads noise row k % 2 while a worker fills the other
-        ahead = population.process_noise_sd > 0.0 and len(population) >= _DRAW_AHEAD_UNITS
-        cpus = getattr(os, "sched_getaffinity", lambda pid: {pid})(0)  # one if not listed
-        self._noise = np.empty((2, len(population))) if ahead and len(cpus) >= 2 else None
-        self._pool, self._drawn = None, 0  # run()'s worker; intervals whose noise is drawn
         self.inputs = scenario.prepare(clock, self.rng_scenario)
 
     def run_interval(self) -> None:
         """Run interval k's report/decide/actuate cycle and record it; run() names k in errors."""
         k, sd = self.k, self.population.process_noise_sd
-        if self._noise is None:
-            # passed inline, the noise draw is freed as soon as the step returns
-            return self._interval(self.rng_noise.normal(0.0, sd, len(self.population))
-                                  if sd > 0.0 else 0.0)
-        if self._drawn <= k:  # not drawn ahead: outside run() every interval draws inline
-            _draw(self.rng_noise, self._noise[k % 2], sd)
-        ahead = (self._pool.submit(_draw, self.rng_noise, self._noise[1 - k % 2], sd)
-                 if self._pool is not None and k + 1 < self.clock.horizon else None)
+        if self._ahead is not None:  # drawn on run()'s worker while interval k - 1 ran
+            noise = self._ahead.result()  # a failed draw raises here: run() names interval k
+        else:  # passed inline, the noise draw is freed as soon as the step returns
+            noise = self.rng_noise.normal(0.0, sd, len(self.population)) if sd > 0.0 else 0.0
+        self._ahead = (self._pool.submit(self._draw, self._rows[1 - k % 2], sd)
+                       if self._pool is not None and k + 1 < self.clock.horizon else None)
         try:
-            self._interval(self._noise[k % 2])
+            self._interval(noise)
         finally:  # waits for the draw: the worker is idle at every interval boundary
-            self._drawn = k + 1 + (ahead is not None and ahead.exception() is None)
-        if ahead is not None:
-            ahead.result()  # a failed draw raises once interval k is done: run() names k + 1
+            if self._ahead is not None:
+                self._ahead.exception()
 
     def _interval(self, noise) -> None:
         """The seven steps of interval k under the given process noise."""
@@ -459,9 +453,11 @@ class Simulation:
     def run(self) -> ScenarioSeries:
         """Run the intervals left in the horizon and return the series. An
         Exception in an interval is raised as an EngineError naming that interval."""
-        if self._noise is not None:  # one worker draws ahead for the whole run
+        n, sd = len(self.population), self.population.process_noise_sd
+        cpus = getattr(os, "sched_getaffinity", lambda pid: {pid})(0)  # one if not listed
+        if sd > 0.0 and n >= _DRAW_AHEAD_UNITS and len(cpus) >= 2:  # one worker for the run
             from concurrent.futures import ThreadPoolExecutor  # loaded only where it is used
-            self._pool = ThreadPoolExecutor(1)
+            self._pool, self._rows = ThreadPoolExecutor(1), np.empty((2, n))
         try:
             while self.k < self.clock.horizon:
                 self.run_interval()
@@ -471,6 +467,10 @@ class Simulation:
             if self._pool is not None:  # joins the worker, also on a raise
                 self._pool = self._pool.shutdown()  # which returns None
         return self.series()
+
+    def _draw(self, row: np.ndarray, sd: float) -> np.ndarray:
+        """Fill row as rng_noise.normal(0.0, sd, row.size) does; only a zero's sign may differ."""
+        return np.multiply(self.rng_noise.standard_normal(out=row), sd, out=row)
 
     def series(self) -> ScenarioSeries:
         pop = self.population
@@ -483,11 +483,6 @@ class Simulation:
             population_size=len(pop),
             thermostat=pop.thermostat,
         )
-
-
-def _draw(rng: np.random.Generator, row: np.ndarray, sd: float) -> None:
-    """Fill row with rng.normal(0.0, sd, row.size)'s draws; only a zero's sign may differ."""
-    np.multiply(rng.standard_normal(out=row), sd, out=row)
 
 
 def run_simulation(spec: PopulationSpec, scenario, clock: SimulationClock,

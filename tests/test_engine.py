@@ -28,7 +28,13 @@ from heatfleet.engine import (
     run_simulation,
 )
 from heatfleet.errors import ConfigError, EngineError
-from heatfleet.scenarios import SaturationScenario, TrackingScenario, WindScenario
+from heatfleet.scenarios import (
+    NominalLoadModel,
+    SaturationScenario,
+    TrackingScenario,
+    TurbineModel,
+    WindScenario,
+)
 from heatfleet.thermostat import ThermostatConfig, quantize
 
 
@@ -591,6 +597,65 @@ def test_whole_run_invariants(run):
     assert ((series.phi >= 0.0) & (series.phi <= 1.0)).all()
 
 
+# the ScenarioSeries columns in kW; every other column is a capacity factor, a
+# temperature, an index or a count
+KW_COLUMNS = ("nominal_kw", "wind_kw", "heatpump_kw", "total_kw")
+
+
+@st.composite
+def kw_scaled_runs(draw):
+    """Up to 300 units and 40 intervals under tracking, saturation or synthetic wind:
+    (run, the same run with every kW quantity times s, s) for s = 2**j, |j| <= 10.
+    A run is (spec, scenario, clock); the COPs are divided by s, so the heat does not change."""
+    s = 2.0 ** draw(st.integers(-10, 10))
+    low, cop = draw(st.floats(3.0, 6.0)), draw(st.floats(3.0, 5.0))
+    high = low + draw(st.floats(0.0, 3.0))
+    spec = PopulationSpec(count=draw(st.integers(1, 300)),
+                          rated_power=ParameterDist.uniform(low, high),
+                          cop=ParameterDist.constant(cop),
+                          thermostat=ThermostatConfig(20.0, 1.0, 8 * draw(st.integers(1, 125))),
+                          process_noise_sd=draw(st.sampled_from([0.0, 0.01, 0.3])),
+                          seed=draw(st.integers(0, 2**32 - 1)))
+    scaled_spec = dataclasses.replace(spec, rated_power=ParameterDist.uniform(low * s, high * s),
+                                      cop=ParameterDist.constant(cop / s))
+    burn_in = draw(st.integers(2, 10))
+    kind = draw(st.sampled_from(["tracking", "saturation", "wind"]))
+    if kind == "tracking":
+        scenario = scaled_scenario = TrackingScenario(burn_in=burn_in)
+    elif kind == "saturation":
+        scenario = scaled_scenario = SaturationScenario(burn_in=burn_in)
+    else:
+        # a farm and a nominal load from below the fleet's capacity up to the defaults' MW
+        rating, level = draw(st.floats(1.0, 2500.0)), draw(st.floats(1.0, 2500.0))
+        anchors = [(hour, kw * level / 2500.0) for hour, kw in NominalLoadModel().anchors]
+
+        def wind(scale):
+            return WindScenario(
+                turbine=TurbineModel(rated_power=rating * scale),
+                nominal=NominalLoadModel(tuple((h, kw * scale) for h, kw in anchors),
+                                         level * scale),
+                burn_in=burn_in)
+        scenario, scaled_scenario = wind(1.0), wind(s)
+    clock = SimulationClock(1.0, draw(st.integers(0, 40)))
+    return (spec, scenario, clock), (scaled_spec, scaled_scenario, clock), s
+
+
+@settings(max_examples=200, deadline=None)
+@given(kw_scaled_runs())
+def test_power_of_two_kw_scaling_scales_exactly_the_kw_columns(runs):
+    # a power of two commutes with every rounding step: only the kW outputs scale
+    run, scaled_run, s = runs
+    series, scaled = run_simulation(*run), run_simulation(*scaled_run)
+    assert scaled.installed_capacity == series.installed_capacity * s
+    for f in dataclasses.fields(ScenarioSeries):
+        a, b = getattr(series, f.name), getattr(scaled, f.name)
+        if isinstance(a, np.ndarray):
+            a = a * s if f.name in KW_COLUMNS else a
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
+        elif f.name != "installed_capacity":
+            assert a == b, f.name
+
+
 two_cpus = pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: {pid})(0)) < 2,
                               reason="the noise is drawn ahead only where two CPUs are usable")
 
@@ -611,13 +676,15 @@ def count_thread_starts(mp):
 class NoiseStream:
     """Stands in for rng_noise: each draw waits delay seconds, and draw number
     fail (counted from 1, on either path) raises instead of drawing. busy is
-    True while a draw is in flight."""
+    True while a draw is in flight; threads holds each call's (method, thread)."""
 
     def __init__(self, rng, fail=0, delay=0.0):
         self.rng, self.fail, self.delay, self.calls, self.busy = rng, fail, delay, 0, False
+        self.threads = []
 
     def _draw(self, method, *args, **kwargs):
         self.calls += 1
+        self.threads.append((method, threading.current_thread()))
         self.busy = True
         try:
             time.sleep(self.delay)
@@ -715,26 +782,46 @@ def fleet_simulation(horizon=12):
                       SimulationClock(1.0, horizon), spec.seed)
 
 
+def streamed_fleet_simulation():
+    sim = fleet_simulation()
+    sim.rng_noise = NoiseStream(sim.rng_noise)
+    return sim
+
+
+def assert_draw_threads(stream, inline, ahead):
+    """rng_noise.normal ran inline times, all on the main thread, and standard_normal
+    ahead times, all on one other thread: perfbench traces normal on the main thread."""
+    main = threading.main_thread()
+    assert [thread for method, thread in stream.threads if method == "normal"] == [main] * inline
+    worker = {thread for method, thread in stream.threads if method == "standard_normal"}
+    assert len(worker) == (ahead > 0) and main not in worker
+    assert stream.calls == inline + ahead
+
+
 @two_cpus
 def test_run_interval_alone_draws_inline_with_the_bits_of_run(monkeypatch):
     monkeypatch.setattr(engine, "_DRAW_AHEAD_UNITS", 0)
     starts = count_thread_starts(monkeypatch)
-    sim = fleet_simulation()
+    sim = streamed_fleet_simulation()
     for _ in range(12):
         sim.run_interval()
     assert starts == []
-    reference = fleet_simulation().run()
-    assert len(starts) == 1 and same_series(sim.series(), reference)
+    reference = streamed_fleet_simulation()
+    assert same_series(sim.series(), reference.run()) and len(starts) == 1
+    assert_draw_threads(sim.rng_noise, inline=12, ahead=0)
+    assert_draw_threads(reference.rng_noise, inline=1, ahead=11)
 
 
 @two_cpus
 @pytest.mark.parametrize("alone", [1, 2, 5, 11, 12])
 def test_run_after_run_interval_calls_keeps_the_bits_of_run(monkeypatch, alone):
     monkeypatch.setattr(engine, "_DRAW_AHEAD_UNITS", 0)
-    sim = fleet_simulation()
+    sim = streamed_fleet_simulation()
     for _ in range(alone):
         sim.run_interval()
     assert same_series(sim.run(), fleet_simulation().run())
+    # run() draws its first interval inline, when it has one, and the rest on its worker
+    assert_draw_threads(sim.rng_noise, inline=alone + (alone < 12), ahead=max(11 - alone, 0))
 
 
 class ExplodingWhileDrawing(ExplodingScenario):
