@@ -57,7 +57,9 @@ class PowerDensityPair:
     phi0: np.ndarray
     phi1: np.ndarray
     cfg: ThermostatConfig
-    # on-half cumulative capacity fractions, and the CFF over [3R/8, 5R/8]
+    # [phi0 | phi1] * grid_step, the on-half cumulative capacity fractions,
+    # and the CFF over [3R/8, 5R/8]
+    _fractions: np.ndarray = field(init=False, repr=False)
     _cum1: np.ndarray = field(init=False, repr=False)
     _window: np.ndarray = field(init=False, repr=False)
 
@@ -94,6 +96,7 @@ class PowerDensityPair:
         cum1 = fractions[bins:].cumsum()
         object.__setattr__(self, "phi0", densities[:bins])
         object.__setattr__(self, "phi1", densities[bins:])
+        object.__setattr__(self, "_fractions", fractions)
         object.__setattr__(self, "_cum1", cum1)
         object.__setattr__(self, "_window", cum0[e:] + cum1[5 * e - 1: 7 * e])
 
@@ -208,8 +211,8 @@ def max_cff_increment(pddf: PowerDensityPair) -> float:
     This is the granularity of the capacity factors reachable from the
     current PDDF: any feasible target can be met to within one such step.
     """
-    cfg = pddf.cfg
-    lo, hi, off, step = cfg.ms_min, cfg.ms_max, cfg.switch_offset, cfg.grid_step
+    cfg, f = pddf.cfg, pddf._fractions
+    lo, hi, off, bins = cfg.ms_min, cfg.ms_max, cfg.switch_offset, cfg.resolution + 1
     # stepping m_s -> m_s+1 newly includes bin m_s+1-off of phi0 and bin m_s+off of phi1
-    steps = pddf.phi0[lo + 1 - off: hi + 1 - off] * step + pddf.phi1[lo + off: hi + off] * step
+    steps = f[lo + 1 - off: hi + 1 - off] + f[bins + lo + off: bins + hi + off]
     return float(steps.max())

@@ -82,18 +82,6 @@ class ParameterDist:
         if self.kind == "lognormal" and self.sd > 0.0 and not math.isfinite(sum(self._mu_sigma())):
             raise ValueError(f"lognormal mu or sigma not finite for mean {self.mean}, sd {self.sd}")
 
-    @classmethod
-    def constant(cls, value: float) -> "ParameterDist":
-        return cls(kind="constant", value=value)
-
-    @classmethod
-    def uniform(cls, low: float, high: float) -> "ParameterDist":
-        return cls(kind="uniform", low=low, high=high)
-
-    @classmethod
-    def lognormal(cls, mean: float, sd: float) -> "ParameterDist":
-        return cls(kind="lognormal", mean=mean, sd=sd)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "constant":
             return np.full(size, self.value)
@@ -121,10 +109,10 @@ class PopulationSpec:
     config, initial-state policy inputs and the master seed."""
 
     count: int = 1000
-    capacitance: ParameterDist = ParameterDist.lognormal(2.5, 0.5)
-    resistance: ParameterDist = ParameterDist.lognormal(2.0, 0.4)
-    rated_power: ParameterDist = ParameterDist.uniform(3.0, 5.0)
-    cop: ParameterDist = ParameterDist.constant(3.5)
+    capacitance: ParameterDist = ParameterDist("lognormal", mean=2.5, sd=0.5)
+    resistance: ParameterDist = ParameterDist("lognormal", mean=2.0, sd=0.4)
+    rated_power: ParameterDist = ParameterDist("uniform", low=3.0, high=5.0)
+    cop: ParameterDist = ParameterDist("constant", value=3.5)
     thermostat: ThermostatConfig = ThermostatConfig()
     initial_outdoor_temp: float = 4.0
     process_noise_sd: float = 0.01

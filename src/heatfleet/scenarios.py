@@ -245,12 +245,6 @@ class ScenarioInputs:
                 raise ValueError(f"{name} must be finite")
 
 
-def _constant_inputs(horizon: int, outdoor_temp: float) -> ScenarioInputs:
-    """Constant outdoor temperature, no nominal load and no wind."""
-    n = horizon + 1
-    return ScenarioInputs(np.full(n, outdoor_temp), np.zeros(n), np.zeros(n))
-
-
 @dataclass(frozen=True)
 class TrackingScenario:
     """Fig.-1 style signal tracking: constant outdoor temperature, no wind or
@@ -275,7 +269,9 @@ class TrackingScenario:
             raise ValueError(f"ar_coefficient must be in [0, 1), got {self.ar_coefficient!r}")
 
     def prepare(self, clock, rng: np.random.Generator) -> ScenarioInputs:
-        return _constant_inputs(clock.horizon, self.outdoor_temp)
+        """Constant outdoor temperature, no nominal load and no wind."""
+        n = clock.horizon + 1
+        return ScenarioInputs(np.full(n, self.outdoor_temp), np.zeros(n), np.zeros(n))
 
     def phi_target(self, sim, phi_now: float, region) -> float:
         state = sim.scenario_state
@@ -299,8 +295,7 @@ class SaturationScenario:
     burn_in: int = 100
     overshoot: float = 0.1
 
-    def prepare(self, clock, rng: np.random.Generator) -> ScenarioInputs:
-        return _constant_inputs(clock.horizon, self.outdoor_temp)
+    prepare = TrackingScenario.prepare  # constant weather, as for tracking
 
     def phi_target(self, sim, phi_now: float, region) -> float:
         return region.phi_max + self.overshoot

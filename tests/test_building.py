@@ -151,10 +151,10 @@ def test_parameter_invariants_rejected():
         # the design outdoor temperature needs a lift of only 0.1 degC, so the
         # heating gain is held to the deadband alone
         return generate_population(PopulationSpec(
-            count=5, capacitance=ParameterDist.constant(capacitance),
-            resistance=ParameterDist.constant(resistance),
-            rated_power=ParameterDist.constant(rated_power),
-            cop=ParameterDist.constant(cop), thermostat=CFG, initial_outdoor_temp=20.9))
+            count=5, capacitance=ParameterDist("constant", value=capacitance),
+            resistance=ParameterDist("constant", value=resistance),
+            rated_power=ParameterDist("constant", value=rated_power),
+            cop=ParameterDist("constant", value=cop), thermostat=CFG, initial_outdoor_temp=20.9))
 
     with pytest.raises(ConfigError, match="resampling"):
         fleet(capacitance=-1.0)

@@ -41,10 +41,10 @@ from heatfleet.thermostat import ThermostatConfig, quantize
 def degenerate_spec(count=1, seed=0, **overrides):
     defaults = dict(
         count=count,
-        capacitance=ParameterDist.constant(2.5),
-        resistance=ParameterDist.constant(2.0),
-        rated_power=ParameterDist.constant(4.0),
-        cop=ParameterDist.constant(3.5),
+        capacitance=ParameterDist("constant", value=2.5),
+        resistance=ParameterDist("constant", value=2.0),
+        rated_power=ParameterDist("constant", value=4.0),
+        cop=ParameterDist("constant", value=3.5),
         thermostat=ThermostatConfig(20.0, 1.0, 1000),
         initial_outdoor_temp=4.0,
         process_noise_sd=0.0,
@@ -122,17 +122,17 @@ class RecordingScenario(TrackingScenario):
 class TestParameterDist:
     def test_constant(self):
         rng = np.random.default_rng(1)
-        assert (ParameterDist.constant(2.5).sample(rng, 10) == 2.5).all()
+        assert (ParameterDist("constant", value=2.5).sample(rng, 10) == 2.5).all()
 
     def test_uniform_bounds(self):
         rng = np.random.default_rng(2)
-        x = ParameterDist.uniform(3.0, 5.0).sample(rng, 10_000)
+        x = ParameterDist("uniform", low=3.0, high=5.0).sample(rng, 10_000)
         assert x.min() >= 3.0 and x.max() <= 5.0
         assert x.mean() == pytest.approx(4.0, abs=0.05)
 
     def test_lognormal_moments(self):
         rng = np.random.default_rng(3)
-        x = ParameterDist.lognormal(2.5, 0.5).sample(rng, 200_000)
+        x = ParameterDist("lognormal", mean=2.5, sd=0.5).sample(rng, 200_000)
         assert x.mean() == pytest.approx(2.5, rel=0.01)
         assert np.std(x) == pytest.approx(0.5, rel=0.02)
         assert (x > 0).all()
@@ -141,9 +141,9 @@ class TestParameterDist:
         with pytest.raises(ValueError):
             ParameterDist(kind="beta")
         with pytest.raises(ValueError):
-            ParameterDist.uniform(5.0, 3.0)
+            ParameterDist("uniform", low=5.0, high=3.0)
         with pytest.raises(ValueError):
-            ParameterDist.lognormal(-1.0, 0.5)
+            ParameterDist("lognormal", mean=-1.0, sd=0.5)
 
     @pytest.mark.parametrize("kwargs, message", [
         (dict(kind="uniform", low=1.0, high=2.0, sd=5.0),
@@ -169,7 +169,7 @@ class TestParameterDist:
     def test_nonfinite_parameters_rejected(self, kind, args):
         # accepted, they exhausted the resampling rounds with a misleading error
         with pytest.raises(ValueError, match="parameters must be finite"):
-            getattr(ParameterDist, kind)(*args)
+            ParameterDist(kind, **dict(zip(ParameterDist.PARAMS[kind], args)))
 
 
 @pytest.mark.parametrize("sd", [math.nan, math.inf])
@@ -210,22 +210,24 @@ class TestGeneratePopulation:
     def test_lognormal_without_spread_is_its_mean(self):
         # sd = 0 draws nothing, so the fleet is the constant fleet bit for bit
         fleets = [generate_population(PopulationSpec(count=300, seed=8, capacitance=dist))
-                  for dist in (ParameterDist.lognormal(2.5, 0.0), ParameterDist.constant(2.5))]
+                  for dist in (ParameterDist("lognormal", mean=2.5, sd=0.0),
+                               ParameterDist("constant", value=2.5))]
         for name in ("capacitance", "resistance", "rated_power", "cop",
                      "indoor_temp", "machine_state"):
             assert np.array_equal(getattr(fleets[0], name), getattr(fleets[1], name)), name
 
     def test_impossible_distribution_rejected(self):
-        spec = degenerate_spec(rated_power=ParameterDist.constant(0.5))
+        spec = degenerate_spec(rated_power=ParameterDist("constant", value=0.5))
         with pytest.raises(ConfigError, match="resampling"):
             generate_population(spec)
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("spec", [
         PopulationSpec(count=2000),  # 2 rounds
-        PopulationSpec(count=2000, cop=ParameterDist.uniform(0.5, 4.0)),  # 9 to 13 rounds
-        PopulationSpec(count=300, rated_power=ParameterDist.lognormal(3.0, 1.5),
-                       cop=ParameterDist.uniform(0.5, 4.0)),  # 15 to 20 rounds
+        # 9 to 13 rounds
+        PopulationSpec(count=2000, cop=ParameterDist("uniform", low=0.5, high=4.0)),
+        PopulationSpec(count=300, rated_power=ParameterDist("lognormal", mean=3.0, sd=1.5),
+                       cop=ParameterDist("uniform", low=0.5, high=4.0)),  # 15 to 20 rounds
     ])
     def test_matches_whole_fleet_resampling_bit_for_bit(self, spec, seed):
         # only the failed units are re-checked: the draws must land where the
@@ -242,7 +244,8 @@ class TestGeneratePopulation:
     def test_exhausted_resampling_reports_the_whole_fleet_count(self, seed):
         # about 1,920 of 2,000 draws still fail after 100 rounds, a count that
         # depends on every round's draws
-        spec = PopulationSpec(count=2000, seed=seed, cop=ParameterDist.uniform(0.1, 1.2))
+        spec = PopulationSpec(count=2000, seed=seed,
+                              cop=ParameterDist("uniform", low=0.1, high=1.2))
         with pytest.raises(ConfigError) as want:
             generate_population_reference(spec)
         with pytest.raises(ConfigError) as got:
@@ -300,8 +303,8 @@ class TestRunInterval:
 
     def test_frozen_dynamics_prediction_exact(self):
         spec = degenerate_spec(count=400, seed=21,
-                               capacitance=ParameterDist.lognormal(2.5, 0.5),
-                               rated_power=ParameterDist.uniform(3.0, 5.0))
+                               capacitance=ParameterDist("lognormal", mean=2.5, sd=0.5),
+                               rated_power=ParameterDist("uniform", low=3.0, high=5.0))
         pop = generate_population(spec)
         clock = SimulationClock(1e-9, 50)  # dt effectively zero
         sim = Simulation(pop, FeasibleFractionScenario(burn_in=0), clock, seed=5)
@@ -565,10 +568,10 @@ def whole_runs(draw):
     spec = degenerate_spec(
         count=draw(st.integers(1, 64)),
         seed=draw(st.integers(0, 2**32 - 1)),
-        capacitance=ParameterDist.constant(draw(st.floats(0.5, 5.0))),
+        capacitance=ParameterDist("constant", value=draw(st.floats(0.5, 5.0))),
         # a heating gain cop*P*R >= 3*3*3.5 = 31.5 clears the lift the spec needs
-        resistance=ParameterDist.constant(draw(st.floats(3.0, 5.0))),
-        rated_power=ParameterDist.constant(draw(st.floats(3.0, 5.0))),
+        resistance=ParameterDist("constant", value=draw(st.floats(3.0, 5.0))),
+        rated_power=ParameterDist("constant", value=draw(st.floats(3.0, 5.0))),
         thermostat=cfg,
         initial_outdoor_temp=outdoor,
         process_noise_sd=draw(st.sampled_from([0.0, 0.01])),
@@ -611,13 +614,14 @@ def kw_scaled_runs(draw):
     low, cop = draw(st.floats(3.0, 6.0)), draw(st.floats(3.0, 5.0))
     high = low + draw(st.floats(0.0, 3.0))
     spec = PopulationSpec(count=draw(st.integers(1, 300)),
-                          rated_power=ParameterDist.uniform(low, high),
-                          cop=ParameterDist.constant(cop),
+                          rated_power=ParameterDist("uniform", low=low, high=high),
+                          cop=ParameterDist("constant", value=cop),
                           thermostat=ThermostatConfig(20.0, 1.0, 8 * draw(st.integers(1, 125))),
                           process_noise_sd=draw(st.sampled_from([0.0, 0.01, 0.3])),
                           seed=draw(st.integers(0, 2**32 - 1)))
-    scaled_spec = dataclasses.replace(spec, rated_power=ParameterDist.uniform(low * s, high * s),
-                                      cop=ParameterDist.constant(cop / s))
+    scaled_spec = dataclasses.replace(
+        spec, rated_power=ParameterDist("uniform", low=low * s, high=high * s),
+        cop=ParameterDist("constant", value=cop / s))
     burn_in = draw(st.integers(2, 10))
     kind = draw(st.sampled_from(["tracking", "saturation", "wind"]))
     if kind == "tracking":

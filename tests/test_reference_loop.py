@@ -9,12 +9,12 @@ from heatfleet.thermostat import ThermostatConfig
 from reference_loop import run_reference
 
 FLEETS = {
-    "constant": dict(capacitance=ParameterDist.constant(2.5),
-                     resistance=ParameterDist.constant(2.0),
-                     rated_power=ParameterDist.constant(4.0)),
-    "uniform": dict(capacitance=ParameterDist.uniform(1.5, 3.5),
-                    resistance=ParameterDist.uniform(1.6, 2.4),
-                    rated_power=ParameterDist.uniform(3.0, 5.0)),
+    "constant": dict(capacitance=ParameterDist("constant", value=2.5),
+                     resistance=ParameterDist("constant", value=2.0),
+                     rated_power=ParameterDist("constant", value=4.0)),
+    "uniform": dict(capacitance=ParameterDist("uniform", low=1.5, high=3.5),
+                    resistance=ParameterDist("uniform", low=1.6, high=2.4),
+                    rated_power=ParameterDist("uniform", low=3.0, high=5.0)),
     "lognormal": {},  # the PopulationSpec defaults
 }
 
