@@ -293,7 +293,7 @@ class ScenarioSeries:
                 "controlled_intervals": int(mask.sum()),
             }
         )
-        if len(self) >= 2:
+        if len(self) >= 3:  # the sample sd of the load changes needs two of them
             out["load_gradient_sd_kw"] = float(np.std(np.diff(self.total_kw), ddof=1))
         return out
 

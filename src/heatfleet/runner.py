@@ -47,7 +47,9 @@ def write_wind_outputs(config: RunConfig, out_dir: Path | None = None) -> Path:
     nominal-load realization."""
     out = resolve_output_dir(config, out_dir)
     wind = config.wind
-    # the initial duty cycles see the outdoor temperature the run reads at t = 0
+    # the initial duty cycles see the file's first outdoor temperature, which the run
+    # reads at t = 0. A synthetic pair's see temp_mean instead, not the outdoor_c[0]
+    # that its run reads: 8.0 against 9.52 degC at seed 12345 (ROADMAP items 9 and 13)
     outdoor = (wind.synthetic.temp_mean if wind.series_file is None
                else float(seriesio.ingest_series(wind.series_file, config.clock)[1][0]))
     spec = replace(config.population, thermostat=config.thermostat, seed=config.seed,

@@ -188,11 +188,19 @@ def write_pddf_dump(path, k: int, pddf, decision) -> None:
                                        phi0.tobytes(), phi1.tobytes())))
 
 
+def _write_json(path, value) -> None:
+    """Write value as strict JSON; a NaN or an infinity fails naming the file."""
+    try:
+        text = json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    _write_bytes(Path(path), (text + "\n").encode())
+
+
 def write_manifest(path, config, version: str) -> None:
     """A RunConfig's JSON form plus the code version; loadable back as a config."""
-    manifest = {"config": config.to_dict(), "meta": {"code_version": version}}
-    _write_bytes(Path(path), (json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode())
+    _write_json(path, {"config": config.to_dict(), "meta": {"code_version": version}})
 
 
 def write_summary(path, summary: dict) -> None:
-    _write_bytes(Path(path), (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode())
+    _write_json(path, summary)

@@ -35,6 +35,7 @@ from heatfleet.scenarios import (
     TurbineModel,
     WindScenario,
 )
+from heatfleet.seriesio import write_exogenous
 from heatfleet.thermostat import ThermostatConfig, quantize
 
 
@@ -657,6 +658,54 @@ def test_power_of_two_kw_scaling_scales_exactly_the_kw_columns(runs):
             a = a * s if f.name in KW_COLUMNS else a
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f.name
         elif f.name != "installed_capacity":
+            assert a == b, f.name
+
+
+@pytest.fixture(scope="module")
+def weather_file(tmp_path_factory):
+    """A 4-hour exogenous file at irregular timestamps, held onto any grid of up to 240 min."""
+    rng = np.random.default_rng(5)
+    t = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 240.0, 300)), [240.0]))
+    path = tmp_path_factory.mktemp("weather") / "exogenous_series.csv"
+    write_exogenous(path, t, rng.uniform(0.0, 30.0, t.size), rng.normal(5.0, 3.0, t.size))
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(counts=st.lists(st.integers(1, 300), min_size=2, max_size=2),
+       seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["tracking", "synthetic", "file"]),
+       dt_minutes=st.floats(0.1, 4.0), horizon=st.integers(0, 60))
+def test_scenario_inputs_do_not_depend_on_the_fleet_size(weather_file, counts, seed, kind,
+                                                         dt_minutes, horizon):
+    # the scenario stream is the master seed's own child: any fleet gets the same
+    # weather, and the same stream state for its targets
+    scenario = {"tracking": TrackingScenario(),
+                "synthetic": WindScenario(),
+                "file": WindScenario(series_file=str(weather_file))}[kind]
+    clock = SimulationClock(dt_minutes, horizon)
+    sims = [Simulation(generate_population(PopulationSpec(count=n, seed=seed)), scenario,
+                       clock, seed) for n in counts]
+    for name in ("outdoor_c", "nominal_kw", "wind_kw"):
+        a, b = (getattr(sim.inputs, name) for sim in sims)
+        assert a.size == horizon + 1 and a.tobytes() == b.tobytes(), name
+    assert sims[0].rng_scenario.bit_generator.state == sims[1].rng_scenario.bit_generator.state
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       saturation=st.booleans(), burn_in=st.integers(0, 40),
+       horizons=st.lists(st.integers(0, 120), min_size=2, max_size=2, unique=True))
+def test_a_run_is_the_prefix_of_a_longer_run(count, seed, saturation, burn_in, horizons):
+    # under constant weather, interval k draws the same noise and target at any horizon
+    h, longer = sorted(horizons)
+    spec = PopulationSpec(count=count, seed=seed, thermostat=ThermostatConfig(20.0, 1.0, 200))
+    scenario = (SaturationScenario if saturation else TrackingScenario)(burn_in=burn_in)
+    short, full = (run_simulation(spec, scenario, SimulationClock(1.0, n)) for n in (h, longer))
+    for f in dataclasses.fields(ScenarioSeries):
+        a, b = getattr(short, f.name), getattr(full, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b[:h].tobytes(), f.name
+        else:
             assert a == b, f.name
 
 

@@ -13,13 +13,19 @@ from heatfleet.cli import main
 from heatfleet.config import RunConfig, _decode, config_from_dict, load_raw
 from heatfleet.engine import SimulationClock
 from heatfleet.errors import ConfigError, SeriesError
-from heatfleet.scenarios import SyntheticWeather, generate_weather, turbine_power
+from heatfleet.scenarios import (
+    SyntheticWeather,
+    TrackingScenario,
+    generate_weather,
+    turbine_power,
+)
 from heatfleet.runner import generate_wind_file, write_tracking_outputs
 from heatfleet.seriesio import (
     ingest_series,
     read_series,
     write_exogenous,
     write_manifest,
+    write_summary,
 )
 
 SMALL_WIND = {
@@ -671,6 +677,54 @@ def test_unwritable_output_exits_1_naming_the_path(tmp_path, capsys, command):
     assert err.startswith("error: ")
     assert str(afile) in err
     assert "Traceback" not in err
+
+
+def strict_json(path):
+    """The JSON in path; a NaN or an infinity in it fails the parse."""
+    def refuse(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("horizon", [0, 1, 2, 3])
+@pytest.mark.parametrize("command", ["track", "wind"])
+def test_short_runs_write_strict_json(tmp_path, command, horizon):
+    # the load changes' sample sd needs two changes: at 2 intervals it divided by zero into NaN
+    assert main([command, "--horizon", str(horizon), "--out", str(tmp_path)]) == 0
+    strict_json(tmp_path / "manifest.json")
+    summary = strict_json(tmp_path / "summary.json")
+    for arm in summary.values() if command == "wind" else [summary]:
+        assert arm["intervals"] == horizon
+        assert ("load_gradient_sd_kw" in arm) == (horizon >= 3)
+
+
+def test_non_finite_summary_value_exits_1_naming_the_file(tmp_path, capsys):
+    # every input is finite, but the squares of the load changes overflow, so the
+    # gradient sd is inf: it used to be written as the non-JSON token Infinity
+    config = write_config(tmp_path, {
+        "population": {"count": 50, "rated_power_kw": {"dist": "constant", "value": 1e306},
+                       "cop": {"dist": "constant", "value": 1e-300}},
+        "clock": {"horizon": 20}, "tracking": {"burn_in": 5}})
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["track", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'summary.json'}: Out of range float values"), err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("name", ["summary", "manifest"])
+def test_json_writers_refuse_non_finite_numbers(tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: Out of range float values")):
+        if name == "summary":
+            write_summary(path, {"load_gradient_sd_kw": float("nan")})
+        else:  # a config built in code is not checked for finite numbers as a file is
+            write_manifest(path, RunConfig(tracking=TrackingScenario(outdoor_temp=float("inf"))),
+                           "0")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("command", ["track", "wind"])
