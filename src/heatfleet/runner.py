@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -15,26 +16,14 @@ from .scenarios import generate_weather, power_gradient_density
 __all__ = ["write_tracking_outputs", "write_wind_outputs", "generate_wind_file"]
 
 
-def _diagnostic_sink(config: RunConfig, out_dir: Path, label: str):
-    """The engine's dump sink, None without diagnostics. Each interval's dump is
-    on disk before the interval ends; a failed write raises OSError inside it."""
-    if not config.diagnostics:
-        return None
-    dump_dir = out_dir / "diagnostics" / label
-
-    def sink(k, pddf, decision):
-        seriesio.write_pddf_dump(dump_dir / f"pddf_k{k:06d}.npy", k, pddf, decision)
-
-    return sink
-
-
 def write_tracking_outputs(config: RunConfig, out_dir: Path | None = None) -> Path:
     """Run the signal-tracking scenario and write its bundle."""
     out = resolve_output_dir(config, out_dir)
     spec = replace(config.population, thermostat=config.thermostat, seed=config.seed,
                    initial_outdoor_temp=config.tracking.outdoor_temp)
-    series = run_simulation(spec, config.tracking, config.clock,
-                            diagnostic_sink=_diagnostic_sink(config, out, "tracking"))
+    sink = (partial(seriesio.write_pddf_dump, out / "diagnostics" / "tracking")
+            if config.diagnostics else None)
+    series = run_simulation(spec, config.tracking, config.clock, diagnostic_sink=sink)
     seriesio.write_series(out / "tracking_series.csv", series)
     seriesio.write_manifest(out / "manifest.json", config, __version__)
     seriesio.write_summary(out / "summary.json", series.summary())
@@ -54,7 +43,8 @@ def write_wind_outputs(config: RunConfig, out_dir: Path | None = None) -> Path:
                else float(seriesio.ingest_series(wind.series_file, config.clock)[1][0]))
     spec = replace(config.population, thermostat=config.thermostat, seed=config.seed,
                    initial_outdoor_temp=outdoor)
-    sink = _diagnostic_sink(config, out, "wind_controlled")
+    sink = (partial(seriesio.write_pddf_dump, out / "diagnostics" / "wind_controlled")
+            if config.diagnostics else None)
     # a burn-in that outlasts the run: the uncontrolled arm never requests a target
     uncontrolled = replace(wind, burn_in=max(wind.burn_in, config.clock.horizon))
     arms = {"controlled": run_simulation(spec, wind, config.clock, diagnostic_sink=sink),

@@ -40,10 +40,12 @@ __all__ = [
 
 EXOGENOUS_HEADER = ["timestamp", "wind_speed_mps", "outdoor_temp_c"]
 
-SERIES_HEADER = [
-    "k", "P_N_kw", "P_W_kw", "P_H_kw", "P_L_kw", "phi", "phi_target",
-    "u_degC", "phi_min", "phi_max", "mean_theta_degC",
-]
+# the run series file's columns in order: each header and the ScenarioSeries attribute it holds
+SERIES_COLUMNS = {
+    "k": "k", "P_N_kw": "nominal_kw", "P_W_kw": "wind_kw", "P_H_kw": "heatpump_kw",
+    "P_L_kw": "total_kw", "phi": "phi", "phi_target": "phi_target", "u_degC": "u",
+    "phi_min": "phi_min", "phi_max": "phi_max", "mean_theta_degC": "mean_theta",
+}
 
 
 def _read_csv(path, header=None) -> tuple[list[str], np.ndarray]:
@@ -140,14 +142,10 @@ def write_exogenous(path, timestamps_min, wind_mps, outdoor_c) -> None:
 
 
 def write_series(path, series: ScenarioSeries) -> None:
-    """Write the fixed per-interval column set of one run."""
-    _write_csv(path, SERIES_HEADER, [
-        series.k.tolist(),
-        *(_floats(column) for column in (
-            series.nominal_kw, series.wind_kw, series.heatpump_kw, series.total_kw,
-            series.phi, series.phi_target, series.u, series.phi_min, series.phi_max,
-            series.mean_theta)),
-    ])
+    """Write the fixed per-interval column set of one run: k as integers, every
+    other column as floats."""
+    k, *floats = (getattr(series, name) for name in SERIES_COLUMNS.values())
+    _write_csv(path, SERIES_COLUMNS, [k.tolist(), *map(_floats, floats)])
 
 
 def read_series(path) -> dict[str, np.ndarray]:
@@ -177,15 +175,17 @@ def _dump_header(size: int) -> bytes:
     return buffer.getvalue()[:-record.nbytes]
 
 
-def write_pddf_dump(path, k: int, pddf, decision) -> None:
-    """Per-interval diagnostic dump of the densities and the decision: one 0-d
-    structured record, exactly the .npy bytes np.save writes for it, on disk
-    before this returns. Read it back with ``np.load(path)["phi0"]`` and so on."""
+def write_pddf_dump(dump_dir, k: int, pddf, decision) -> None:
+    """Interval k's diagnostic dump of the densities and the decision, written to
+    ``dump_dir/pddf_k{k:06d}.npy``: one 0-d structured record, exactly the .npy
+    bytes np.save writes for it, on disk before this returns; a failed write
+    raises OSError here. Read it back with ``np.load(path)["phi0"]`` and so on."""
     phi0, phi1 = pddf.phi0, pddf.phi1
     if phi0.size != phi1.size:
         raise ValueError(f"phi0 and phi1 differ in size: {phi0.size} and {phi1.size}")
-    _write_bytes(Path(path), b"".join((_dump_header(phi0.size), _pack_dump_scalars(k, *decision),
-                                       phi0.tobytes(), phi1.tobytes())))
+    path = Path(dump_dir) / f"pddf_k{k:06d}.npy"
+    _write_bytes(path, b"".join((_dump_header(phi0.size), _pack_dump_scalars(k, *decision),
+                                 phi0.tobytes(), phi1.tobytes())))
 
 
 def _write_json(path, value) -> None:

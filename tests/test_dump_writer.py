@@ -63,14 +63,14 @@ def slow_writes(monkeypatch):
 
 @pytest.fixture
 def recorded_dumps(monkeypatch):
-    """(path, k, densities, decision) of every dump the runner asks for."""
+    """(directory, k, densities, decision) of every dump the runner asks for."""
     dumps = []
     write = seriesio.write_pddf_dump
 
-    def recording(path, k, pddf, decision):
+    def recording(dump_dir, k, pddf, decision):
         densities = SimpleNamespace(phi0=pddf.phi0.copy(), phi1=pddf.phi1.copy())
-        dumps.append((Path(path), k, densities, decision))
-        write(path, k, pddf, decision)
+        dumps.append((Path(dump_dir), k, densities, decision))
+        write(dump_dir, k, pddf, decision)
 
     monkeypatch.setattr(seriesio, "write_pddf_dump", recording)
     return dumps
@@ -126,10 +126,10 @@ def test_dumps_before_a_failed_interval_are_on_disk_when_it_raises(
     assert threading.enumerate() == before
     monkeypatch.undo()  # the expected dumps are written at full speed
     assert [k for _, k, _, _ in recorded_dumps] == [0, 1, 2]
-    for path, k, densities, decision in recorded_dumps:
-        expected = tmp_path / "expected" / path.name
-        seriesio.write_pddf_dump(expected, k, densities, decision)
-        assert path.read_bytes() == expected.read_bytes(), path.name
+    for dump_dir, k, densities, decision in recorded_dumps:
+        name = f"pddf_k{k:06d}.npy"
+        seriesio.write_pddf_dump(tmp_path / "expected", k, densities, decision)
+        assert (dump_dir / name).read_bytes() == (tmp_path / "expected" / name).read_bytes(), name
 
 
 def test_no_thread_outlives_a_wind_bundle(tmp_path):

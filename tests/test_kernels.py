@@ -30,7 +30,6 @@ from heatfleet.aggregator import (
 )
 from heatfleet.building import duty_cycle, thermal_constants, thermal_step
 from heatfleet.seriesio import (
-    SERIES_HEADER,
     write_exogenous,
     write_histogram,
     write_pddf_dump,
@@ -432,8 +431,8 @@ def test_pddf_dump_round_trips_every_bit(dump_dir, data):
         ms_star=data.draw(st.integers(0, 10**6)), u=data.draw(reals),
         phi_target=data.draw(reals), phi_predicted=data.draw(reals))
     k = data.draw(st.integers(0, 10**7))
-    write_pddf_dump(dump_dir / "dump.npy", k, DensityPair(phi0, phi1), decision)
-    record = np.load(dump_dir / "dump.npy")
+    write_pddf_dump(dump_dir, k, DensityPair(phi0, phi1), decision)
+    record = np.load(dump_dir / f"pddf_k{k:06d}.npy")
     assert record.shape == ()
     assert record.dtype.names == ("k", *ControlDecision._fields, "phi0", "phi1")
     for (name, dtype), value in zip(DUMP_FIELDS.items(), (k, *decision)):
@@ -444,9 +443,8 @@ def test_pddf_dump_round_trips_every_bit(dump_dir, data):
 def test_pddf_dump_creates_its_directory(tmp_path):
     pair = DensityPair(np.array([0.0, -0.0, 4.0]), np.array([np.nan, 0.0, 1e-310]))
     decision = ControlDecision(1, 2, 0.25, 0.75, 1, -0.0, 0.5, 0.5)
-    path = tmp_path / "a" / "b" / "dump.npy"
-    write_pddf_dump(path, 3, pair, decision)
-    k, got, densities = read_dump(path)
+    write_pddf_dump(tmp_path / "a" / "b", 3, pair, decision)
+    k, got, densities = read_dump(tmp_path / "a" / "b" / "pddf_k000003.npy")
     assert (k, got) == (3, decision) and math.copysign(1.0, got.u) == -1.0
     assert same_bits(densities.phi0, pair.phi0) and same_bits(densities.phi1, pair.phi1)
 
@@ -480,18 +478,22 @@ def test_pddf_dump_bytes_match_np_save_oracle(dump_dir, data):
         phi_target=data.draw(numpy_or_python_reals),
         phi_predicted=data.draw(numpy_or_python_reals))
     k = data.draw(indices)
-    write_pddf_dump(dump_dir / "dump.npy", k, DensityPair(phi0, phi1), decision)
-    assert (dump_dir / "dump.npy").read_bytes() == npy_oracle(k, decision, phi0, phi1)
+    write_pddf_dump(dump_dir, k, DensityPair(phi0, phi1), decision)
+    assert (dump_dir / f"pddf_k{k:06d}.npy").read_bytes() == npy_oracle(k, decision, phi0, phi1)
 
 
 def test_pddf_dump_with_mismatched_halves_raises_before_writing(tmp_path):
     pair = DensityPair(np.zeros(9), np.zeros(17))
-    path = tmp_path / "a" / "dump.npy"
     with pytest.raises(ValueError, match="differ in size: 9 and 17"):
-        write_pddf_dump(path, 0, pair, ControlDecision(1, 2, 0.25, 0.75, 1, 0.0, 0.5, 0.5))
+        write_pddf_dump(tmp_path / "a", 0, pair,
+                        ControlDecision(1, 2, 0.25, 0.75, 1, 0.0, 0.5, 0.5))
     assert not (tmp_path / "a").exists()
 
 
+# the series file's header and attributes after k, spelled out here, not taken from the
+# writer's table, so that a wrong table cannot agree with itself
+SERIES_HEADER = ["k", "P_N_kw", "P_W_kw", "P_H_kw", "P_L_kw", "phi", "phi_target",
+                 "u_degC", "phi_min", "phi_max", "mean_theta_degC"]
 SERIES_COLUMNS = ("nominal_kw", "wind_kw", "heatpump_kw", "total_kw", "phi", "phi_target",
                   "u", "phi_min", "phi_max", "mean_theta")
 
