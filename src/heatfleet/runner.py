@@ -24,9 +24,10 @@ def write_tracking_outputs(config: RunConfig, out_dir: Path | None = None) -> Pa
     sink = (partial(seriesio.write_pddf_dump, out / "diagnostics" / "tracking")
             if config.diagnostics else None)
     series = run_simulation(spec, config.tracking, config.clock, diagnostic_sink=sink)
+    # the summary first: one that is not strict JSON fails before any file is written
+    seriesio.write_summary(out / "summary.json", series.summary())
     seriesio.write_series(out / "tracking_series.csv", series)
     seriesio.write_manifest(out / "manifest.json", config, __version__)
-    seriesio.write_summary(out / "summary.json", series.summary())
     return out
 
 
@@ -49,14 +50,15 @@ def write_wind_outputs(config: RunConfig, out_dir: Path | None = None) -> Path:
     uncontrolled = replace(wind, burn_in=max(wind.burn_in, config.clock.horizon))
     arms = {"controlled": run_simulation(spec, wind, config.clock, diagnostic_sink=sink),
             "uncontrolled": run_simulation(spec, uncontrolled, config.clock)}
+    # the summary first, as in write_tracking_outputs
+    seriesio.write_summary(out / "summary.json",
+                           {label: series.summary() for label, series in arms.items()})
     for label, series in arms.items():
         seriesio.write_series(out / f"wind_{label}_series.csv", series)
         if len(series) >= 2:
             centers, heights = power_gradient_density(series.total_kw)
             seriesio.write_histogram(out / f"gradient_{label}.csv", centers, heights)
     seriesio.write_manifest(out / "manifest.json", config, __version__)
-    seriesio.write_summary(out / "summary.json",
-                           {label: series.summary() for label, series in arms.items()})
     return out
 
 

@@ -80,7 +80,7 @@ def turbine_power(wind_speed, model: TurbineModel):
     v = np.asarray(wind_speed, dtype=float)
     if (v < 0.0).any():
         raise ValueError("wind speed must be >= 0")
-    v3 = v**3
+    v3 = np.minimum(v, model.rated_speed) ** 3  # a huge discarded speed must not overflow
     ci3 = model.cut_in**3
     r3 = model.rated_speed**3
     per_turbine = np.where(

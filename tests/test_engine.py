@@ -709,6 +709,44 @@ def test_a_run_is_the_prefix_of_a_longer_run(count, seed, saturation, burn_in, h
             assert a == b, f.name
 
 
+@st.composite
+def degenerate_fleets(draw):
+    """(population, scenario, clock): N units, N = 1 among them, with one set of
+    parameters, one initial temperature and state, and no process noise."""
+    n = draw(st.one_of(st.just(1), st.integers(2, 300)))
+    cfg = ThermostatConfig(20.0, draw(st.floats(0.2, 3.0)), 8 * draw(st.integers(1, 125)))
+
+    def same(value, dtype=float):
+        return np.full(n, value, dtype=dtype)
+
+    # a heating gain cop*P*R >= 3*3*3 = 27 clears the lift the scenarios' weather needs
+    pop = engine.Population(
+        capacitance=same(draw(st.floats(0.5, 5.0))), resistance=same(draw(st.floats(3.0, 5.0))),
+        rated_power=same(draw(st.floats(0.1, 20.0))), cop=same(draw(st.floats(3.0, 5.0))),
+        indoor_temp=same(draw(st.floats(cfg.setpoint - cfg.deadband, cfg.setpoint + cfg.deadband))),
+        machine_state=same(draw(st.integers(0, 1)), np.int8), thermostat=cfg, process_noise_sd=0.0)
+    burn_in = draw(st.integers(2, 10))  # the wind policy needs two intervals of history
+    scenario = draw(st.sampled_from([
+        TrackingScenario(draw(st.floats(-5.0, 15.0)), burn_in=burn_in),
+        SaturationScenario(burn_in=burn_in), WindScenario(burn_in=burn_in)]))
+    return pop, scenario, SimulationClock(draw(st.floats(0.1, 30.0)), draw(st.integers(1, 40)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(degenerate_fleets(), st.integers(0, 2**32 - 1))
+def test_a_degenerate_fleet_moves_as_one_unit(fleet, seed):
+    # identical units see identical inputs, so none can leave the others; the
+    # prediction is still exact to roundoff, though not always to the bit
+    pop, scenario, clock = fleet
+    sim = Simulation(pop, scenario, clock, seed)
+    for _ in range(clock.horizon):
+        sim.run_interval()
+        assert (pop.machine_state == pop.machine_state[0]).all()
+        assert (pop.indoor_temp == pop.indoor_temp[0]).all()
+    series = sim.series()
+    assert np.abs(series.phi - series.phi_predicted).max() <= 1e-12
+
+
 two_cpus = pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: {pid})(0)) < 2,
                               reason="the noise is drawn ahead only where two CPUs are usable")
 

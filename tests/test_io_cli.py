@@ -713,6 +713,35 @@ def test_non_finite_summary_value_exits_1_naming_the_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / 'summary.json'}: Out of range float values"), err
     assert not (out / "summary.json").exists()
+    # the summary is written first, so no other file of the bundle is written either
+    assert not out.exists()
+
+
+def test_non_finite_wind_summary_leaves_no_bundle(tmp_path, capsys):
+    # the fleet's temperatures stay finite, but their sum overflows, so the mean
+    # temperature is infinite and the summary's statistics of it are not numbers
+    config = write_config(tmp_path, {
+        "scenario": "wind", "population": {"count": 50, "process_noise_sd_c": 1e307},
+        "clock": {"horizon": 20}, "wind": {"burn_in": 5}})
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
+        assert main(["wind", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'summary.json'}: Out of range float values"), err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_wind_sd_runs_to_finite_output(tmp_path):
+    # the synthetic wind speeds reach about 1e300, which the turbine curve used to cube
+    config = write_config(tmp_path, {
+        "scenario": "wind", "population": {"count": 50}, "clock": {"horizon": 20},
+        "wind": {"burn_in": 5, "synthetic": {"wind_sd_mps": 1e300}}})
+    out = tmp_path / "out"
+    assert main(["wind", "--config", str(config), "--out", str(out)]) == 0
+    strict_json(out / "summary.json")
+    for path in sorted(out.glob("*.csv")):
+        read_series(path)  # fails on a non-finite field, naming its line
 
 
 @pytest.mark.parametrize("name", ["summary", "manifest"])

@@ -47,6 +47,13 @@ class TestTurbine:
         assert turbine_power(7.5, TURBINE) == pytest.approx(1160.7142857142858,
                                                             abs=1e-9)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_speeds_do_not_overflow(self):
+        # every speed used to be cubed, and a cube that overflowed warned even
+        # where the rated or cut-out branch discarded it
+        v = np.array([12.0, 20.0, 1e103, 1e300])
+        assert turbine_power(v, TURBINE).tolist() == [5000.0, 5000.0, 0.0, 0.0]
+
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError):
             turbine_power(-0.1, TURBINE)
