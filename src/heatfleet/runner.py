@@ -24,7 +24,7 @@ def write_tracking_outputs(config: RunConfig, out_dir: Path | None = None) -> Pa
     sink = (partial(seriesio.write_pddf_dump, out / "diagnostics" / "tracking")
             if config.diagnostics else None)
     series = run_simulation(spec, config.tracking, config.clock, diagnostic_sink=sink)
-    # the summary first: one that is not strict JSON fails before any file is written
+    # the summary first: one that is not strict JSON fails before the other files are written
     seriesio.write_summary(out / "summary.json", series.summary())
     seriesio.write_series(out / "tracking_series.csv", series)
     seriesio.write_manifest(out / "manifest.json", config, __version__)

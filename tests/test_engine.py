@@ -722,7 +722,7 @@ def degenerate_fleets(draw):
     # a heating gain cop*P*R >= 3*3*3 = 27 clears the lift the scenarios' weather needs
     pop = engine.Population(
         capacitance=same(draw(st.floats(0.5, 5.0))), resistance=same(draw(st.floats(3.0, 5.0))),
-        rated_power=same(draw(st.floats(0.1, 20.0))), cop=same(draw(st.floats(3.0, 5.0))),
+        rated_power=same(draw(st.floats(3.0, 20.0))), cop=same(draw(st.floats(3.0, 5.0))),
         indoor_temp=same(draw(st.floats(cfg.setpoint - cfg.deadband, cfg.setpoint + cfg.deadband))),
         machine_state=same(draw(st.integers(0, 1)), np.int8), thermostat=cfg, process_noise_sd=0.0)
     burn_in = draw(st.integers(2, 10))  # the wind policy needs two intervals of history

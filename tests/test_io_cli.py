@@ -733,7 +733,8 @@ def test_non_finite_wind_summary_leaves_no_bundle(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_huge_wind_sd_runs_to_finite_output(tmp_path):
-    # the synthetic wind speeds reach about 1e300, which the turbine curve used to cube
+    # the synthetic wind speeds reach about 1e300, far past the cut-out: the run must
+    # neither warn nor write a non-finite number
     config = write_config(tmp_path, {
         "scenario": "wind", "population": {"count": 50}, "clock": {"horizon": 20},
         "wind": {"burn_in": 5, "synthetic": {"wind_sd_mps": 1e300}}})
