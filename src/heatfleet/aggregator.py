@@ -57,11 +57,10 @@ class PowerDensityPair:
     phi0: np.ndarray
     phi1: np.ndarray
     cfg: ThermostatConfig
-    # [phi0 | phi1] * grid_step, the on-half cumulative capacity fractions,
-    # and the CFF over [3R/8, 5R/8]
-    _fractions: np.ndarray = field(init=False, repr=False)
-    _cum1: np.ndarray = field(init=False, repr=False)
+    # the CFF over [3R/8, 5R/8], the current capacity factor and the largest CFF step
     _window: np.ndarray = field(init=False, repr=False)
+    _phi_now: float = field(init=False, repr=False)
+    _max_step: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         phi0 = np.asarray(self.phi0, dtype=float)
@@ -87,18 +86,20 @@ class PowerDensityPair:
     def _set_densities(self, densities: np.ndarray) -> None:
         # phi0 and phi1 are views of [phi0 | phi1]; scaling it once gives the
         # same products, and each cumsum the same sequential sums. Entry i of
-        # the window is the CFF at m_s = 3R/8 + i, cum0[m_s - R/4] +
-        # cum1[m_s + R/4 - 1], so the off half's sum stops at 3R/8.
-        bins = densities.size // 2
-        e = (bins - 1) // 8  # R/8
-        fractions = densities * self.cfg.grid_step
-        cum0 = fractions[:3 * e + 1].cumsum()
-        cum1 = fractions[bins:].cumsum()
+        # the window is the CFF at m_s = lo + i, cum0[m_s - off] +
+        # cum1[m_s + off - 1], so the off half's sum stops at hi - off.
+        cfg = self.cfg
+        lo, hi, off, bins = cfg.ms_min, cfg.ms_max, cfg.switch_offset, cfg.resolution + 1
+        f = densities * cfg.grid_step
+        cum0 = f[:hi - off + 1].cumsum()
+        cum1 = f[bins:].cumsum()
+        # stepping m_s -> m_s+1 newly includes bin m_s+1-off of phi0 and bin m_s+off of phi1
+        steps = f[lo + 1 - off: hi + 1 - off] + f[bins + lo + off: bins + hi + off]
         object.__setattr__(self, "phi0", densities[:bins])
         object.__setattr__(self, "phi1", densities[bins:])
-        object.__setattr__(self, "_fractions", fractions)
-        object.__setattr__(self, "_cum1", cum1)
-        object.__setattr__(self, "_window", cum0[e:] + cum1[5 * e - 1: 7 * e])
+        object.__setattr__(self, "_window", cum0[lo - off:] + cum1[lo + off - 1: hi + off])
+        object.__setattr__(self, "_phi_now", float(cum1[-1]))
+        object.__setattr__(self, "_max_step", float(steps.max()))
 
 
 class FeasibleRegion(NamedTuple):
@@ -155,7 +156,7 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
 
 def capacity_factor(pddf: PowerDensityPair) -> float:
     """Current aggregate draw as a fraction of installed capacity."""
-    return float(pddf._cum1[-1])
+    return pddf._phi_now
 
 
 def cff(pddf: PowerDensityPair, m_s: int) -> float:
@@ -186,7 +187,7 @@ def select_setpoint(pddf: PowerDensityPair, phi_target: float) -> ControlDecisio
     if not math.isfinite(phi_target):
         raise ValueError(f"phi_target must be finite, got {phi_target!r}")
     region = feasible_region(pddf)
-    lo, hi, w = region.ms_min, region.ms_max, pddf._window
+    lo, w = region.ms_min, pddf._window
     # w[k-1] < phi_target <= w[k], so both gaps are >= 0; outside the window
     # both brackets collapse onto w[0] or w[-1] and the gaps do not matter
     k = int(w.searchsorted(phi_target, "left"))
@@ -201,8 +202,7 @@ def select_setpoint(pddf: PowerDensityPair, phi_target: float) -> ControlDecisio
     center = pddf.cfg.resolution // 2
     ms_star = min(max(center, run_lo), run_hi)
     u = pddf.cfg.deadband * (2.0 * ms_star / pddf.cfg.resolution - 1.0)
-    return ControlDecision(lo, hi, region.phi_min, region.phi_max, ms_star, u,
-                           float(phi_target), float(w[ms_star - lo]))
+    return ControlDecision(*region, ms_star, u, float(phi_target), float(w[ms_star - lo]))
 
 
 def max_cff_increment(pddf: PowerDensityPair) -> float:
@@ -211,8 +211,4 @@ def max_cff_increment(pddf: PowerDensityPair) -> float:
     This is the granularity of the capacity factors reachable from the
     current PDDF: any feasible target can be met to within one such step.
     """
-    cfg, f = pddf.cfg, pddf._fractions
-    lo, hi, off, bins = cfg.ms_min, cfg.ms_max, cfg.switch_offset, cfg.resolution + 1
-    # stepping m_s -> m_s+1 newly includes bin m_s+1-off of phi0 and bin m_s+off of phi1
-    steps = f[lo + 1 - off: hi + 1 - off] + f[bins + lo + off: bins + hi + off]
-    return float(steps.max())
+    return pddf._max_step

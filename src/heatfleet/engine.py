@@ -294,7 +294,9 @@ class ScenarioSeries:
             }
         )
         if len(self) >= 3:  # the sample sd of the load changes needs two of them
-            out["load_gradient_sd_kw"] = float(np.std(np.diff(self.total_kw), ddof=1))
+            d = np.diff(self.total_kw)
+            e = np.frexp(np.max(np.abs(d)))[1]  # d * 2**-e is exact, below 1: no square overflows
+            out["load_gradient_sd_kw"] = float(np.ldexp(np.std(np.ldexp(d, -e), ddof=1), e))
         return out
 
 

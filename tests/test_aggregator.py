@@ -473,3 +473,61 @@ def test_realized_equals_predicted_for_every_setpoint(fleet):
         assert abs(cff(pddf, m_s) - realized) <= 1e-12
         after = build_pddf_from_arrays(hysteresis_update(n, m, m_s, cfg), m, p, cfg)
         assert capacity_factor(after) == pytest.approx(realized, rel=0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Bounded exhaustive check of the decision rule: every small fleet on a small grid.
+# ---------------------------------------------------------------------------
+
+def unit_kinds(kinds, r):
+    """State, index and power of unit kinds numbered 0 to 4R + 3: every
+    (state, index, power) in {0, 1} x [0, R] x {1, 3}."""
+    return kinds // (2 * (r + 1)), kinds // 2 % (r + 1), np.where(kinds % 2, 3.0, 1.0)
+
+
+@pytest.mark.parametrize("r, max_units", [(8, 3), (16, 2)])
+def test_decision_rule_holds_for_every_small_fleet(r, max_units):
+    # every ordered fleet of 1 to max_units units of those kinds: 47,988 at R = 8 and
+    # 4,692 at R = 16. Every sum of the powers is an exact integer, so the prediction
+    # must equal the realization bit for bit
+    cfg = ThermostatConfig(20.0, 1.0, r)
+    lo, hi, off, center = 3 * r // 8, 5 * r // 8, r // 4, r // 2
+    for size in range(1, max_units + 1):
+        kinds = np.indices((4 * (r + 1),) * size).reshape(size, -1).T
+        n, m, p = unit_kinds(kinds, r)
+        realized = np.empty((kinds.shape[0], hi - lo + 1))
+        for i, m_s in enumerate(range(lo, hi + 1)):
+            on = hysteresis_update(n.ravel(), m.ravel(), m_s, cfg).reshape(n.shape)
+            # switch on at or below m_s - R/4, off at or above m_s + R/4, else hold
+            rule = (m <= m_s - off) | ((m < m_s + off) & (n != 0))
+            assert (on.astype(bool) == rule).all(), m_s
+            realized[:, i] = (p * on).sum(axis=1) / p.sum(axis=1)
+
+        # a PDDF does not depend on the order of the units: the aggregator sees one
+        # fleet per multiset, and each ordered fleet is checked against its multiset's
+        multisets, which = np.unique(np.sort(kinds, axis=1), axis=0, return_inverse=True)
+        windows = np.empty((multisets.shape[0], hi - lo + 1))
+        # targets: every CFF value, each midpoint of two adjacent values, one beyond each bound
+        targets = np.empty((multisets.shape[0], 2 * (hi - lo) + 3))
+        chosen = np.empty(targets.shape, dtype=int)
+        for j, fleet in enumerate(multisets):
+            pddf = build_pddf_from_arrays(*unit_kinds(fleet, r), cfg)
+            windows[j] = [cff(pddf, m_s) for m_s in range(lo, hi + 1)]
+            w = windows[j]
+            targets[j] = [*w, *(w[:-1] + w[1:]) / 2.0, w[0] - 0.5, w[-1] + 0.5]
+            for t, target in enumerate(targets[j]):
+                decision = select_setpoint(pddf, target)
+                assert decision[:4] == (lo, hi, w[0], w[-1])
+                assert decision.phi_target == target
+                assert decision.phi_predicted == w[decision.ms_star - lo]
+                assert decision.u == cfg.deadband * (2.0 * decision.ms_star / r - 1.0)
+                chosen[j, t] = decision.ms_star
+        assert (windows[which] == realized).all()
+        assert (np.diff(windows, axis=1) >= 0.0).all()
+
+        # brute force: the indices of least |target - cff|, and of those the one nearest R/2
+        gaps = np.abs(targets[:, :, None] - windows[:, None, :])
+        least = gaps == gaps.min(axis=2, keepdims=True)
+        distance = np.where(least, np.abs(np.arange(lo, hi + 1) - center), r)
+        assert (np.sum(distance == distance.min(axis=2, keepdims=True), axis=2) == 1).all()
+        assert (chosen == lo + distance.argmin(axis=2)).all()

@@ -5,6 +5,7 @@ import inspect
 import math
 import os
 import re
+import tempfile
 import threading
 import time
 import tracemalloc
@@ -15,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heatfleet import aggregator, engine
+from heatfleet import aggregator, engine, runner
 from heatfleet.aggregator import PowerDensityPair, build_pddf_from_arrays, capacity_factor
 from heatfleet.building import duty_cycle
+from heatfleet.config import RunConfig
 from heatfleet.engine import (
     ParameterDist,
     PopulationSpec,
@@ -745,6 +747,72 @@ def test_a_degenerate_fleet_moves_as_one_unit(fleet, seed):
         assert (pop.indoor_temp == pop.indoor_temp[0]).all()
     series = sim.series()
     assert np.abs(series.phi - series.phi_predicted).max() <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(count=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), file=st.booleans(),
+       burn_in=st.integers(2, 20), extra=st.integers(-5, 10))
+def test_the_wind_arms_agree_through_the_burn_in(weather_file, count, seed, file, burn_in,
+                                                 extra):
+    # the arms share seed, fleet, weather and nominal load, and neither requests a
+    # target before the burn-in, so every column agrees over intervals 0 to burn_in - 1
+    horizon = max(burn_in + extra, 0)
+    config = RunConfig(scenario="wind", seed=seed, clock=SimulationClock(1.0, horizon),
+                       population=PopulationSpec(count=count),
+                       wind=WindScenario(series_file=str(weather_file) if file else None,
+                                         burn_in=burn_in))
+    arms = []
+
+    def recorded(*args, **kwargs):
+        arms.append(run_simulation(*args, **kwargs))
+        return arms[-1]
+
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+        mp.setattr(runner, "run_simulation", recorded)
+        runner.write_wind_outputs(config, Path(out))
+    controlled, uncontrolled = arms
+    assert uncontrolled.controlled.sum() == 0 and len(controlled) == horizon
+    b = min(burn_in, horizon)
+    for f in dataclasses.fields(ScenarioSeries):
+        a, c = getattr(controlled, f.name), getattr(uncontrolled, f.name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == c.dtype and a[:b].tobytes() == c[:b].tobytes(), f.name
+        else:
+            assert a == c, f.name
+
+
+@st.composite
+def load_series(draw):
+    """Total loads of 3 to 40 intervals, each 0 or of either sign with a magnitude from
+    1e-140 to about 1e151, so that the load changes span the same range."""
+    magnitude = st.builds(lambda mantissa, e: mantissa * 10.0**e,
+                          st.floats(1.0, 10.0), st.integers(-140, 150))
+    value = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
+    return np.array(draw(st.lists(value, min_size=3, max_size=40)))
+
+
+@pytest.fixture(scope="module")
+def short_series():
+    return run_simulation(degenerate_spec(count=2), TrackingScenario(burn_in=2),
+                          SimulationClock(1.0, 40))
+
+
+@settings(max_examples=100, deadline=None)
+@given(load_series())
+def test_gradient_sd_is_np_std_of_the_load_changes(short_series, total_kw):
+    # the sd scales the changes by a power of two, which changes no bit: where np.std's
+    # own squares neither overflow nor underflow, the two agree bit for bit
+    h = total_kw.size
+    columns = {f.name: getattr(short_series, f.name)[:h] for f in dataclasses.fields(ScenarioSeries)
+               if isinstance(getattr(short_series, f.name), np.ndarray)}
+    series = dataclasses.replace(short_series, **{**columns, "total_kw": total_kw})
+    d = np.diff(total_kw)
+    deviations = d - d.mean()
+    squares = deviations * deviations
+    normal = (squares >= np.finfo(float).tiny) | (deviations == 0.0)
+    if np.isfinite(squares).all() and normal.all():
+        expected = np.float64(np.std(d, ddof=1))
+        assert np.float64(series.summary()["load_gradient_sd_kw"]).tobytes() == expected.tobytes()
 
 
 two_cpus = pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: {pid})(0)) < 2,

@@ -701,20 +701,33 @@ def test_short_runs_write_strict_json(tmp_path, command, horizon):
 
 
 def test_non_finite_summary_value_exits_1_naming_the_file(tmp_path, capsys):
-    # every input is finite, but the squares of the load changes overflow, so the
-    # gradient sd is inf: it used to be written as the non-JSON token Infinity
+    # the fleet's temperatures stay finite, but their sum overflows, so the mean
+    # temperature is infinite: json.dumps would write it as the non-JSON token Infinity
     config = write_config(tmp_path, {
-        "population": {"count": 50, "rated_power_kw": {"dist": "constant", "value": 1e306},
-                       "cop": {"dist": "constant", "value": 1e-300}},
+        "population": {"count": 50, "process_noise_sd_c": 1e307},
         "clock": {"horizon": 20}, "tracking": {"burn_in": 5}})
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
         assert main(["track", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {out / 'summary.json'}: Out of range float values"), err
     assert not (out / "summary.json").exists()
     # the summary is written first, so no other file of the bundle is written either
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_load_changes_give_a_finite_gradient_sd(tmp_path):
+    # every input is finite, but the squares of the unscaled load changes overflow: the
+    # gradient sd must still be finite, and no overflow warning may escape main
+    config = write_config(tmp_path, {
+        "population": {"count": 50, "rated_power_kw": {"dist": "constant", "value": 1e306},
+                       "cop": {"dist": "constant", "value": 1e-300}},
+        "clock": {"horizon": 20}, "tracking": {"burn_in": 5}})
+    out = tmp_path / "out"
+    assert main(["track", "--config", str(config), "--out", str(out)]) == 0
+    strict_json(out / "manifest.json")
+    assert 1e305 < strict_json(out / "summary.json")["load_gradient_sd_kw"] < 1e308
 
 
 def test_non_finite_wind_summary_leaves_no_bundle(tmp_path, capsys):
