@@ -149,7 +149,9 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
         raise ValueError(f"installed capacity must be finite, got {p_cap}")
     bins = cfg.resolution + 1
     # one histogram over [off bins | on bins]; each bin still sums in unit order
-    w = np.bincount((n != 0) * bins + m, weights=p, minlength=2 * bins)
+    keys = np.multiply(n != 0, bins, dtype=np.min_scalar_type(-2 * bins))  # holds 2R + 1
+    keys += m  # m of any int dtype: its values are in [0, R], checked above
+    w = np.bincount(keys, weights=p, minlength=2 * bins)
     w /= p_cap * cfg.grid_step
     return PowerDensityPair._from_valid(w, cfg)
 

@@ -353,9 +353,10 @@ class Simulation:
             population.cop, clock.dt_minutes / 60.0)
         self.installed_capacity = float(population.rated_power.sum())
         self._max_rated_power = float(population.rated_power.max())
-        # workspace: the equilibria, then quantize's arithmetic; the indices
+        # workspace: the equilibria, then quantize's arithmetic; the indices, in few bytes to stream
         self._work = np.empty(len(population))
-        self._index = np.empty(len(population), dtype=np.int64)
+        self._index = np.empty_like(self._work,  # the narrowest signed int whose max is >= R
+                                    np.min_scalar_type(-1 - population.thermostat.resolution))
         self.inputs = scenario.prepare(clock, self.rng_scenario)
 
     def run_interval(self) -> None:

@@ -77,9 +77,9 @@ def quantize(theta_a, cfg: ThermostatConfig, out=None, work=None):
     """Map an array of temperatures to their nearest grid indices, clamped to [0, R].
 
     Rounding is half away from zero (symmetric about the setpoint);
-    out-of-range temperatures saturate at the grid ends. out (int64) receives
-    the indices and work (float64) holds the arithmetic; each may be a buffer
-    shaped like theta_a, and by default a new array is used.
+    out-of-range temperatures saturate at the grid ends. out receives the indices
+    and work (float64) holds the arithmetic, each a buffer shaped like theta_a or
+    by default new; out's dtype is any integer whose max is >= R (int64 if new).
     """
     x = np.subtract(theta_a, cfg.setpoint, dtype=float, out=work)
     x += cfg.deadband
@@ -89,7 +89,7 @@ def quantize(theta_a, cfg: ThermostatConfig, out=None, work=None):
     x += 0.5
     x.clip(0.0, cfg.resolution, out=x)
     m = np.empty(x.shape, np.int64) if out is None else out
-    np.copyto(m, x, casting="unsafe")  # x.astype(np.int64), truncating, into m
+    np.copyto(m, x, casting="unsafe")  # x.astype(m.dtype), truncating: exact on [0, R]
     return m
 
 

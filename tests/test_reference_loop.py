@@ -1,7 +1,7 @@
 """The engine against the naive reference loop: every column of a whole run, bit for bit."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from heatfleet.engine import ParameterDist, PopulationSpec, SimulationClock, run_simulation
 from heatfleet.scenarios import SaturationScenario, TrackingScenario, WindScenario
@@ -43,8 +43,25 @@ def runs(draw):
     return spec, scenario, SimulationClock(draw(st.sampled_from([1.0, 5.0])), horizon)
 
 
+def at_the_grid_top(resolution):
+    """A 10-unit saturation run on grid R in which units report index R while on, so
+    the engine forms its largest report, R, and its largest PDDF key, 2R + 1."""
+    spec = PopulationSpec(count=10, thermostat=ThermostatConfig(resolution=resolution),
+                          process_noise_sd=0.2, seed=0)
+    return spec, SaturationScenario(burn_in=2), SimulationClock(5.0, 10)
+
+
+# each pair straddles a point where a dtype widens: the reports leave int8 past R = 127
+# and int16 past 32767, the keys 2R + 1 leave int16 past R = 16383. A value that wraps
+# there is negative, and the run fails against the int64 reference loop
 @settings(max_examples=200, deadline=None)
 @given(runs())
+@example(at_the_grid_top(120))
+@example(at_the_grid_top(128))
+@example(at_the_grid_top(16376))
+@example(at_the_grid_top(16384))
+@example(at_the_grid_top(32760))
+@example(at_the_grid_top(32768))
 def test_engine_matches_reference_loop(run):
     spec, scenario, clock = run
     series = run_simulation(spec, scenario, clock)
