@@ -24,7 +24,6 @@ to R/2 (least set-point disturbance).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)  # arrays have no truth value: identity equality
 class PowerDensityPair:
     """Discrete PDDFs over the measurement grid of the thermostat config cfg.
 
@@ -54,52 +52,39 @@ class PowerDensityPair:
     kept by the Population and the run's Simulation and ScenarioSeries.
     """
 
-    phi0: np.ndarray
-    phi1: np.ndarray
-    cfg: ThermostatConfig
-    # the CFF over [3R/8, 5R/8], the current capacity factor and the largest CFF step
-    _window: np.ndarray = field(init=False, repr=False)
-    _phi_now: float = field(init=False, repr=False)
-    _max_step: float = field(init=False, repr=False)
+    # the last three: the CFF over [3R/8, 5R/8], the current capacity factor, the largest CFF step
+    __slots__ = ("cfg", "phi0", "phi1", "_window", "_phi_now", "_max_step")
 
-    def __post_init__(self) -> None:
-        phi0 = np.asarray(self.phi0, dtype=float)
-        phi1 = np.asarray(self.phi1, dtype=float)
-        if not phi0.shape == phi1.shape == (self.cfg.resolution + 1,):
-            raise ValueError(f"phi0 and phi1 must each have R + 1 = {self.cfg.resolution + 1} "
+    def __init__(self, phi0, phi1, cfg: ThermostatConfig) -> None:
+        phi0 = np.asarray(phi0, dtype=float)
+        phi1 = np.asarray(phi1, dtype=float)
+        if not phi0.shape == phi1.shape == (cfg.resolution + 1,):
+            raise ValueError(f"phi0 and phi1 must each have R + 1 = {cfg.resolution + 1} "
                              f"entries, got shapes {phi0.shape} and {phi1.shape}")
         densities = np.concatenate((phi0, phi1))
         if not (np.isfinite(densities).all() and (densities >= 0.0).all()):
             raise ValueError("densities must be finite and nonnegative")
-        self._set_densities(densities)
+        self._set(densities, cfg)
 
-    @classmethod
-    def _from_valid(cls, densities: np.ndarray, cfg: ThermostatConfig) -> "PowerDensityPair":
-        """Construct without re-validating. The caller guarantees every
-        invariant __post_init__ checks: densities is the finite, nonnegative 1-d
-        float array [phi0 | phi1] with cfg.resolution + 1 entries in each half."""
-        pair = object.__new__(cls)
-        object.__setattr__(pair, "cfg", cfg)
-        pair._set_densities(densities)
-        return pair
-
-    def _set_densities(self, densities: np.ndarray) -> None:
+    def _set(self, densities: np.ndarray, cfg: ThermostatConfig) -> PowerDensityPair:
+        """Set the pair from densities = [phi0 | phi1], which both of its callers check."""
         # phi0 and phi1 are views of [phi0 | phi1]; scaling it once gives the
         # same products, and each cumsum the same sequential sums. Entry i of
         # the window is the CFF at m_s = lo + i, cum0[m_s - off] +
         # cum1[m_s + off - 1], so the off half's sum stops at hi - off.
-        cfg = self.cfg
         lo, hi, off, bins = cfg.ms_min, cfg.ms_max, cfg.switch_offset, cfg.resolution + 1
         f = densities * cfg.grid_step
         cum0 = f[:hi - off + 1].cumsum()
         cum1 = f[bins:].cumsum()
         # stepping m_s -> m_s+1 newly includes bin m_s+1-off of phi0 and bin m_s+off of phi1
         steps = f[lo + 1 - off: hi + 1 - off] + f[bins + lo + off: bins + hi + off]
-        object.__setattr__(self, "phi0", densities[:bins])
-        object.__setattr__(self, "phi1", densities[bins:])
-        object.__setattr__(self, "_window", cum0[lo - off:] + cum1[lo + off - 1: hi + off])
-        object.__setattr__(self, "_phi_now", float(cum1[-1]))
-        object.__setattr__(self, "_max_step", float(steps.max()))
+        self.cfg = cfg
+        self.phi0 = densities[:bins]
+        self.phi1 = densities[bins:]
+        self._window = cum0[lo - off:] + cum1[lo + off - 1: hi + off]
+        self._phi_now = float(cum1[-1])
+        self._max_step = float(steps.max())
+        return self
 
 
 class FeasibleRegion(NamedTuple):
@@ -153,7 +138,7 @@ def build_pddf_from_arrays(machine_state, temperature_index, rated_power,
     keys += m  # m of any int dtype: its values are in [0, R], checked above
     w = np.bincount(keys, weights=p, minlength=2 * bins)
     w /= p_cap * cfg.grid_step
-    return PowerDensityPair._from_valid(w, cfg)
+    return PowerDensityPair.__new__(PowerDensityPair)._set(w, cfg)
 
 
 def capacity_factor(pddf: PowerDensityPair) -> float:

@@ -424,7 +424,7 @@ class Simulation:
                               f"deviates from prediction {decision.phi_predicted!r}")
         heatpump_kw = self.installed_capacity * phi_realized
         # one row per name of _FLOAT_COLUMNS, in its order; sum/size is ndarray.mean
-        self._floats[:, k] = (
+        row = (
             heatpump_kw, nominal_kw + heatpump_kw - wind_kw, phi_realized,
             decision.phi_target, decision.u, decision.phi_min, decision.phi_max,
             np.add.reduce(pop.indoor_temp) / pop.indoor_temp.size, decision.phi_predicted,
@@ -432,6 +432,9 @@ class Simulation:
             + aggregator.max_cff_increment(pddf),
             min_theta, max_theta,
         )
+        if not all(map(math.isfinite, row)):  # name the first column that is not finite
+            raise EngineError(f"{_FLOAT_COLUMNS[i := np.isfinite(row).argmin()]} is {row[i]}")
+        self._floats[:, k] = row
         cols["controlled"][k] = controlled
         cols["switch_count"][k] = np.count_nonzero(switched)
         cols["rapid_cycle_count"][k] = np.count_nonzero(switched & self._prev_switched)

@@ -700,19 +700,17 @@ def test_short_runs_write_strict_json(tmp_path, command, horizon):
         assert ("load_gradient_sd_kw" in arm) == (horizon >= 3)
 
 
-def test_non_finite_summary_value_exits_1_naming_the_file(tmp_path, capsys):
+def test_non_finite_mean_theta_exits_4_naming_the_interval(tmp_path, capsys):
     # the fleet's temperatures stay finite, but their sum overflows, so the mean
-    # temperature is infinite: json.dumps would write it as the non-JSON token Infinity
+    # temperature is infinite: the interval fails at its row check, before any file
     config = write_config(tmp_path, {
         "population": {"count": 50, "process_noise_sd_c": 1e307},
         "clock": {"horizon": 20}, "tracking": {"burn_in": 5}})
     out = tmp_path / "out"
     with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
-        assert main(["track", "--config", str(config), "--out", str(out)]) == 1
+        assert main(["track", "--config", str(config), "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / 'summary.json'}: Out of range float values"), err
-    assert not (out / "summary.json").exists()
-    # the summary is written first, so no other file of the bundle is written either
+    assert err == "simulation error: interval 10: mean_theta is -inf\n"
     assert not out.exists()
 
 
@@ -730,17 +728,17 @@ def test_huge_load_changes_give_a_finite_gradient_sd(tmp_path):
     assert 1e305 < strict_json(out / "summary.json")["load_gradient_sd_kw"] < 1e308
 
 
-def test_non_finite_wind_summary_leaves_no_bundle(tmp_path, capsys):
+def test_non_finite_wind_mean_theta_exits_4_leaving_no_bundle(tmp_path, capsys):
     # the fleet's temperatures stay finite, but their sum overflows, so the mean
-    # temperature is infinite and the summary's statistics of it are not numbers
+    # temperature is infinite: the interval fails at its row check, before any file
     config = write_config(tmp_path, {
         "scenario": "wind", "population": {"count": 50, "process_noise_sd_c": 1e307},
         "clock": {"horizon": 20}, "wind": {"burn_in": 5}})
     out = tmp_path / "out"
     with pytest.warns(RuntimeWarning, match="overflow|invalid value"):
-        assert main(["wind", "--config", str(config), "--out", str(out)]) == 1
+        assert main(["wind", "--config", str(config), "--out", str(out)]) == 4
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {out / 'summary.json'}: Out of range float values"), err
+    assert err == "simulation error: interval 10: mean_theta is -inf\n"
     assert not out.exists()
 
 
@@ -768,6 +766,22 @@ def test_json_writers_refuse_non_finite_numbers(tmp_path, name):
             write_manifest(path, RunConfig(tracking=TrackingScenario(outdoor_temp=float("inf"))),
                            "0")
     assert not path.exists()
+
+
+@pytest.mark.parametrize("command", ["track", "wind"])
+def test_a_summary_that_is_not_json_leaves_no_bundle(tmp_path, capsys, monkeypatch, command):
+    # a run whose rows are all finite has no such summary, so one is injected: the
+    # summary is written first and fails before its file is made, so no file is left
+    from heatfleet.engine import ScenarioSeries
+
+    summary = ScenarioSeries.summary
+    monkeypatch.setattr(ScenarioSeries, "summary",
+                        lambda self: {**summary(self), "mean_indoor_temp_c": float("inf")})
+    out = tmp_path / "out"
+    assert main([command, "--horizon", "5", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out / 'summary.json'}: Out of range float values"), err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["track", "wind"])
